@@ -48,11 +48,8 @@ from .sampler import (
 )
 from .spectra import (
     Histogram,
-    MatrixPolynomial,
-    SpectrumSummary,
     eigenvalues_symmetric,
     esd,
-    eval_polynomial,
     sum_lsd_report,
 )
 
@@ -63,11 +60,9 @@ __all__ = [
     "Histogram",
     "InputDistribution",
     "LinkKind",
-    "MatrixPolynomial",
     "MatrixSample",
     "MomentEstimate",
     "Monomial",
-    "SpectrumSummary",
     "VolumeEstimate",
     "alpha",
     "alpha_bound",
@@ -82,7 +77,6 @@ __all__ = [
     "enumerate_nc2",
     "enumerate_pair_matched_words",
     "esd",
-    "eval_polynomial",
     "free_moment_prediction",
     "freeness_report",
     "is_catalan",

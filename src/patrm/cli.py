@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -48,8 +49,16 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class NonFiniteOutputError(ArithmeticError):
+    """Raised when a report would carry a NaN or infinite value."""
+
+
 def _emit_json(obj) -> str:
-    """Deterministic UTF-8 JSON with floats at 17 significant digits."""
+    """Deterministic UTF-8 JSON with floats at 17 significant digits.
+
+    JSON has no NaN or infinity, so a non-finite float is a failed
+    numerical check, not a value to print.
+    """
 
     def render(o) -> str:
         if isinstance(o, dict):
@@ -60,6 +69,8 @@ def _emit_json(obj) -> str:
         if isinstance(o, bool) or o is None:
             return json.dumps(o)
         if isinstance(o, float):
+            if not math.isfinite(o):
+                raise NonFiniteOutputError(f"non-finite value {o!r} in report")
             return _format_float(o)
         if isinstance(o, int):
             return str(o)
@@ -148,13 +159,12 @@ def cmd_alpha(args) -> int:
     value, stderr = limits.alpha_estimate(
         q, args.method, samples=args.samples, seed=args.seed, budget=args.budget
     )
-    words = enumerate_pair_matched_words(q, respect_indices=True)
     payload = {
         "q": str(q),
         "alpha": value,
         "stderr": stderr,
         "bound": limits.alpha_bound(q),
-        "words": len(words),
+        "words": pairing_count_estimate(q, respect_indices=True),
         "method": args.method,
         **_run_meta(args),
     }
@@ -200,16 +210,16 @@ def cmd_lsd(args) -> int:
     writer.writerow(["bin_left", "bin_right", "count", "density"])
     for left, right, count, density in rows:
         writer.writerow([_format_float(left), _format_float(right), count, _format_float(density)])
-    sidecar = {**report.to_json_dict(), **_run_meta(args, method="simulation")}
+    sidecar = _emit_json({**report.to_json_dict(), **_run_meta(args, method="simulation")})
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(csv_buf.getvalue())
         with open(args.out + ".json", "w") as fh:
-            fh.write(_emit_json(sidecar) + "\n")
+            fh.write(sidecar + "\n")
         print(f"wrote {args.out} and {args.out}.json")
     else:
         sys.stdout.write(csv_buf.getvalue())
-        print(_emit_json(sidecar), file=sys.stderr)
+        print(sidecar, file=sys.stderr)
     return EXIT_OK
 
 
@@ -233,7 +243,9 @@ def cmd_freeness(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="patrm", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed (64-bit)")
+    common.add_argument(
+        "--seed", type=int, default=0, help="master RNG seed, taken mod 2^64 (negative seeds alias)"
+    )
     common.add_argument(
         "--budget", type=int, default=limits.DEFAULT_BUDGET, help="max enumeration steps"
     )
@@ -300,6 +312,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except limits.BudgetExceededError as exc:
         print(f"patrm: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except NonFiniteOutputError as exc:
+        print(f"patrm: numerical check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"patrm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

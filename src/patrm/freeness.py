@@ -23,7 +23,13 @@ import numpy as np
 from . import limits
 from .algebra import Monomial
 from .linkfns import LinkKind
-from .sampler import InputDistribution, empirical_trace_moment, sample_matrix, trace_moment_samples
+from .sampler import (
+    InputDistribution,
+    empirical_trace_moment,
+    sample_matrix,
+    seed_sequence,
+    trace_moment_samples,
+)
 
 PairPartition = tuple[tuple[int, int], ...]
 CyclePermutation = tuple[tuple[int, ...], ...]
@@ -301,9 +307,7 @@ def trace_factorization_check(
     for n in n_list:
         per_power = np.empty((reps, len(powers)))
         for rep in range(reps):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed & ((1 << 64) - 1), n, rep])
-            )
+            rng = np.random.default_rng(seed_sequence(seed, n, rep))
             x = sample_matrix(kind, 1, n, dist, rng).entries
             acc = np.eye(n)
             traces = {}

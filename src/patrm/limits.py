@@ -3,12 +3,14 @@
 The count of index circuits compatible with a word's match structure is,
 per match, a finite union of affine-linear cases (sign choices for
 Toeplitz, wrap offsets for the circulants, endpoint identifications for
-Wigner).  Within one case every dependent vertex is an exact affine form
-over the generating vertices; the normalized count then converges to the
-volume of a box slice, which this module evaluates by Monte Carlo, and
-cross-checks against exact circuit counts at finite size.
+Wigner).  Within one case every dependent vertex is an affine form with
+integer coefficients over the generating vertices; the normalized count
+then converges to the volume of a box slice, which this module evaluates
+by Monte Carlo, and cross-checks against exact circuit counts at finite
+size.
 
-All affine arithmetic is exact (Fractions); the identity-or-measure-zero
+Every case relation has small integer coefficients, so all affine
+arithmetic is exact integer arithmetic; the identity-or-measure-zero
 dichotomy for closure and Wigner equalities is decided symbolically,
 never by tolerance.
 """
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,21 +35,34 @@ from .algebra import (
     pairing_count_estimate,
 )
 from .linkfns import LinkKind, branch_count, delta, solve_branch_grid
+from .sampler import seed_sequence
 
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 5_000_000_000
 _MC_CHUNK = 1 << 21
-_SEED_MASK = (1 << 64) - 1  # seeds are taken mod 2^64
 
-# Per-match case domains: Toeplitz sign, Hankel trivial, Reverse Circulant
-# wrap offset, Symmetric Circulant six sign/wrap combinations, Wigner
-# straight (C1) or reversed (C2) endpoint identification.
-_CASE_DOMAINS = {
-    LinkKind.TOEPLITZ: (1, -1),
-    LinkKind.HANKEL: (0,),
-    LinkKind.REVERSE_CIRCULANT: (0, 1, -1),
-    LinkKind.SYMMETRIC_CIRCULANT: (1, 2, 3, 4, 5, 6),
-    LinkKind.WIGNER: ("C1", "C2"),
+# Per-kind link relations.  At a second occurrence s matched to the first
+# occurrence f, each case label gives the integer coefficients
+# (prev, va, vb, shift) of v_s = prev v_{s-1} + va v_{f-1} + vb v_f + shift.
+# Toeplitz c: v_{s-1} - v_s = c (v_{f-1} - v_f).  Hankel: equal sums.
+# Reverse Circulant c: equal sums up to the wrap c.  Symmetric Circulant:
+# six sign/wrap combinations.  Wigner: straight (C1) or reversed (C2)
+# endpoint identification, which also pins v_{s-1} (see resolve_affine).
+# The labels and their order fix the case order, hence the dedup order
+# and the per-system MC seeds.
+_CASE_RELATIONS: dict[LinkKind, dict] = {
+    LinkKind.TOEPLITZ: {1: (1, -1, 1, 0), -1: (1, 1, -1, 0)},
+    LinkKind.HANKEL: {0: (-1, 1, 1, 0)},
+    LinkKind.REVERSE_CIRCULANT: {c: (-1, 1, 1, c) for c in (0, 1, -1)},
+    LinkKind.SYMMETRIC_CIRCULANT: {
+        1: (1, -1, 1, 0),
+        2: (1, 1, -1, 0),
+        3: (1, 1, -1, -1),
+        4: (1, -1, 1, 1),
+        5: (1, -1, 1, -1),
+        6: (1, 1, -1, 1),
+    },
+    LinkKind.WIGNER: {"C1": (0, 0, 1, 0), "C2": (0, 1, 0, 0)},
 }
 
 CaseLabel = tuple
@@ -56,33 +72,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exact enumeration would exceed the work budget."""
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """Exact affine form over the generating coordinates: coeffs . v + const."""
+class AffineForm(NamedTuple):
+    """Integer affine form over the generating coordinates: coeffs . v + const."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-
-    @staticmethod
-    def coordinate(slot: int, dim: int) -> "AffineForm":
-        c = [Fraction(0)] * dim
-        c[slot] = Fraction(1)
-        return AffineForm(tuple(c), Fraction(0))
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const + other.const,
-        )
-
-    def __sub__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const - other.const,
-        )
-
-    def shift(self, c) -> "AffineForm":
-        return AffineForm(self.coeffs, self.const + Fraction(c))
+    coeffs: tuple[int, ...]
+    const: int
 
     def bare_coordinate(self) -> Optional[int]:
         """Slot index when the form is exactly one coordinate, else None."""
@@ -93,14 +87,24 @@ class AffineForm:
             return nz[0][0]
         return None
 
-    def value_interval(self) -> tuple[Fraction, Fraction]:
+    def value_interval(self) -> tuple[int, int]:
         """Enclosing interval of the form over the half-open unit cube."""
-        lo = self.const + sum((c for c in self.coeffs if c < 0), Fraction(0))
-        hi = self.const + sum((c for c in self.coeffs if c > 0), Fraction(0))
+        lo = self.const + sum(c for c in self.coeffs if c < 0)
+        hi = self.const + sum(c for c in self.coeffs if c > 0)
         return lo, hi
 
-    def float_vector(self) -> tuple[np.ndarray, float]:
-        return np.array([float(c) for c in self.coeffs]), float(self.const)
+
+def _coordinate(slot: int, dim: int) -> AffineForm:
+    return AffineForm(tuple(int(i == slot) for i in range(dim)), 0)
+
+
+def _combine(weights, forms, shift: int) -> AffineForm:
+    """The form sum(w * f for w, f in zip(weights, forms)) + shift."""
+    (a, b, c), (x, y, z) = weights, forms
+    return AffineForm(
+        tuple(a * p + b * q + c * r for p, q, r in zip(x.coeffs, y.coeffs, z.coeffs)),
+        a * x.const + b * y.const + c * z.const + shift,
+    )
 
 
 @dataclass(frozen=True)
@@ -168,23 +172,23 @@ class VolumeEstimate:
         return d
 
 
-def match_case_domain(kind: LinkKind) -> tuple:
-    return _CASE_DOMAINS[kind]
+def _match_relations(w: ColoredWord) -> list[dict]:
+    """Relation table of every match, in match_pairs order."""
+    return [_CASE_RELATIONS[w.colors[f - 1]] for f, _ in match_pairs(w)]
 
 
 def build_cases(w: ColoredWord) -> list[CaseLabel]:
-    """Cartesian product of per-match case sets, in match_pairs order."""
-    pairs = match_pairs(w)
-    domains = [match_case_domain(w.colors[i - 1]) for i, _ in pairs]
-    return list(itertools.product(*domains))
+    """Cartesian product of per-match case labels, in match_pairs order."""
+    return list(itertools.product(*_match_relations(w)))
 
 
 def resolve_affine(w: ColoredWord, case: CaseLabel) -> ConstraintSystem:
     """Affine system of one case: walk positions, emitting dependent forms.
 
     At a second occurrence s matched to first occurrence f the new vertex
-    v_s is determined from v_{s-1}, v_{f-1}, v_f by the case's relation;
-    Wigner cases additionally pin v_{s-1} to an earlier form.
+    v_s is determined from v_{s-1}, v_{f-1}, v_f by the case's relation.
+    A Wigner case also pins v_{s-1}: the unordered edges {v_{s-1}, v_s}
+    and {v_{f-1}, v_f} coincide, so v_{s-1} = v_{f-1} + v_f - v_s.
     """
     pairs = match_pairs(w)
     length = len(w)
@@ -194,49 +198,25 @@ def resolve_affine(w: ColoredWord, case: CaseLabel) -> ConstraintSystem:
     dim = len(gen_positions)
     slot = {pos: i for i, pos in enumerate(gen_positions)}
 
-    forms: dict[int, AffineForm] = {0: AffineForm.coordinate(0, dim)}
+    forms: dict[int, AffineForm] = {0: _coordinate(0, dim)}
     equalities: list[tuple[AffineForm, AffineForm]] = []
     dep: list[tuple[int, AffineForm]] = []
 
     for pos in range(1, length + 1):
         if pos not in first_of:
-            forms[pos] = AffineForm.coordinate(slot[pos], dim)
+            forms[pos] = _coordinate(slot[pos], dim)
             continue
         f = first_of[pos]
-        c = case_of[pos]
         kind = w.colors[pos - 1]
+        *weights, shift = _CASE_RELATIONS[kind][case_of[pos]]
         prev, va, vb = forms[pos - 1], forms[f - 1], forms[f]
-        if kind is LinkKind.TOEPLITZ:
-            diff = va - vb
-            form = prev - diff if c == 1 else prev + diff
-        elif kind is LinkKind.HANKEL:
-            form = va + vb - prev
-        elif kind is LinkKind.REVERSE_CIRCULANT:
-            form = (va + vb - prev).shift(c)
-        elif kind is LinkKind.SYMMETRIC_CIRCULANT:
-            if c == 1:
-                form = vb - va + prev
-            elif c == 2:
-                form = va - vb + prev
-            elif c == 3:
-                form = (va - vb + prev).shift(-1)
-            elif c == 4:
-                form = (vb - va + prev).shift(1)
-            elif c == 5:
-                form = (vb - va + prev).shift(-1)
-            else:  # 6
-                form = (va - vb + prev).shift(1)
-        else:  # Wigner
-            if c == "C1":
-                equalities.append((prev, va))
-                form = vb
-            else:  # C2: reversed identification
-                equalities.append((prev, vb))
-                form = va
+        form = _combine(weights, (prev, va, vb), shift)
+        if kind is LinkKind.WIGNER:
+            equalities.append((prev, _combine((1, 1, -1), (va, vb, form), 0)))
         forms[pos] = form
         dep.append((pos, form))
 
-    closure = (forms[length], AffineForm.coordinate(0, dim))
+    closure = (forms[length], forms[0])
     return ConstraintSystem(dim, gen_positions, tuple(dep), tuple(equalities), closure)
 
 
@@ -258,7 +238,7 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
         lo, hi = form.value_interval()
         if hi <= 0 or lo >= 1:
             return VolumeEstimate(0.0, 0.0, "mc", samples=samples)
-    vectors = [f.float_vector() for f in forms]
+    vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
@@ -401,6 +381,9 @@ def p_limit(
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
 
+    n_cases = math.prod(len(rel) for rel in _match_relations(w))
+    if n_cases > budget:
+        raise BudgetExceededError(f"word has {n_cases} affine cases, budget is {budget:.2e}")
     systems = []
     seen = set()
     for case in build_cases(w):
@@ -414,7 +397,7 @@ def p_limit(
         systems.append(cs)
     total, var = 0.0, 0.0
     for idx, cs in enumerate(systems):
-        est = case_volume_mc(cs, samples, np.random.SeedSequence([seed & _SEED_MASK, idx]))
+        est = case_volume_mc(cs, samples, seed_sequence(seed, idx))
         total += est.value
         var += est.stderr ** 2
     value = min(max(total, 0.0), cap)

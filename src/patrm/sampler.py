@@ -74,14 +74,17 @@ class MomentEstimate:
         }
 
 
-_SEED_MASK = (1 << 64) - 1  # seeds are taken mod 2^64
+def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
+    """SeedSequence of the master seed taken mod 2^64, followed by key.
+
+    Negative seeds alias mod 2^64: -1 and 2^64 - 1 give the same streams.
+    """
+    return np.random.SeedSequence([master_seed & ((1 << 64) - 1), *key])
 
 
 def substream(master_seed: int, replicate: int, kind: LinkKind, index: int) -> np.random.Generator:
     """Deterministic RNG for one (replicate, kind, copy) triple."""
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed & _SEED_MASK, replicate, _KIND_CODE[kind], index])
-    )
+    return np.random.default_rng(seed_sequence(master_seed, replicate, _KIND_CODE[kind], index))
 
 
 def sample_matrix(

@@ -10,11 +10,10 @@ the test suite against each other and an exact determinant oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import Monomial
 from .linkfns import LinkKind
 from .sampler import InputDistribution, sample_matrix, substream
 
@@ -176,62 +175,6 @@ def esd(
 
 
 @dataclass(frozen=True)
-class SpectrumSummary:
-    """Sorted eigenvalues with their first few power moments."""
-
-    eigenvalues: np.ndarray
-    moments: tuple[float, ...]
-    min: float
-    max: float
-
-    @staticmethod
-    def from_eigenvalues(eigs: np.ndarray, kmax: int = 6) -> "SpectrumSummary":
-        eigs = np.sort(np.asarray(eigs, dtype=float))
-        moments = tuple(float((eigs**k).mean()) for k in range(1, kmax + 1))
-        return SpectrumSummary(eigs, moments, float(eigs[0]), float(eigs[-1]))
-
-
-@dataclass(frozen=True)
-class MatrixPolynomial:
-    """Real-linear combination of monomials in the scaled ensemble matrices."""
-
-    terms: tuple[tuple[float, Monomial], ...]
-
-    def required_symbols(self) -> set[tuple[LinkKind, int]]:
-        need: set[tuple[LinkKind, int]] = set()
-        for _, mono in self.terms:
-            need.update(mono.letters)
-        return need
-
-
-def eval_polynomial(
-    p: MatrixPolynomial,
-    samples: dict[tuple[LinkKind, int], "np.ndarray"],
-    n: int,
-    sym_tol: float = 1e-10,
-) -> np.ndarray:
-    """Evaluate sum of coeff * product(scaled matrices); must come out symmetric.
-
-    Each matrix is scaled by n^(-1/2).  A result that is not symmetric to
-    sym_tol * max|entry| rejects the polynomial.
-    """
-    scale = 1.0 / np.sqrt(n)
-    out = np.zeros((n, n))
-    for coeff, mono in p.terms:
-        prod: Optional[np.ndarray] = None
-        for sym in mono.letters:
-            if sym not in samples:
-                raise ValueError(f"no sample provided for symbol {sym[0].char}{sym[1]}")
-            m = samples[sym] * scale
-            prod = m if prod is None else prod @ m
-        out += coeff * prod
-    norm = np.abs(out).max() or 1.0
-    if np.abs(out - out.T).max() > sym_tol * norm:
-        raise ValueError("polynomial does not evaluate to a symmetric matrix")
-    return out
-
-
-@dataclass(frozen=True)
 class SumReport:
     """Averaged spectral report for the scaled sum of two ensemble members."""
 
@@ -273,7 +216,6 @@ def sum_lsd_report(
     kmax: int = 6,
     bins: int = DEFAULT_BINS,
     seed: int = 0,
-    eig_method: str = "auto",
 ) -> SumReport:
     """Averaged ESD of (A + B)/sqrt(n) over independent replicate pairs.
 
@@ -290,7 +232,7 @@ def sum_lsd_report(
         a = sample_matrix(kind_a, 1, n, dist, substream(seed, rep, kind_a, 1)).entries
         b = sample_matrix(kind_b, idx_b, n, dist, substream(seed, rep, kind_b, idx_b)).entries
         m = (a + b) / np.sqrt(n)
-        eigs = eigenvalues_symmetric(m, method=eig_method)
+        eigs = eigenvalues_symmetric(m)
         pooled.append(eigs)
         moments[rep] = [float((eigs**k).mean()) for k in range(1, kmax + 1)]
     beta = tuple(float(x) for x in moments.mean(axis=0))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from patrm import __version__
+from patrm.algebra import enumerate_pair_matched_words, parse_monomial
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from patrm.reference_tables import ALL_ROWS
 
@@ -47,6 +48,14 @@ def test_alpha_semicircle(capsys):
     payload = json.loads(out)
     assert payload["alpha"] == pytest.approx(2.0)
     assert payload["bound"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("q,count", [("TTTT", 3), ("W1T1W2T1", 0), ("THTHT", 0)])
+def test_alpha_word_count_is_exact(capsys, q, count):
+    code, out, _ = run(capsys, "alpha", "--q", q, "--samples", "1000")
+    assert code == EXIT_OK
+    words = json.loads(out)["words"]
+    assert words == count == len(enumerate_pair_matched_words(parse_monomial(q)))
 
 
 def test_tables_flags_known_discrepancies(capsys):
@@ -134,3 +143,16 @@ def test_budget_exit_three(capsys):
     code, _, err = run(capsys, "alpha", "--q", "W" * 30, "--budget", "1000")
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def test_case_product_budget_exit_three(capsys):
+    # 15 words x 6 letters = 90 passes the word check; 6^3 = 216 cases does not
+    code, out, err = run(capsys, "alpha", "--q", "SSSSSS", "--budget", "100")
+    assert code == EXIT_BUDGET
+    assert out == "" and "216 affine cases" in err
+
+
+def test_non_finite_report_exits_two(capsys):
+    code, out, err = run(capsys, "freeness", "--q", "WWHH", "--tol", "nan", "--samples", "1000")
+    assert code == EXIT_NUMERIC
+    assert out == "" and "non-finite" in err

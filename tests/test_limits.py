@@ -234,14 +234,58 @@ def test_alpha_estimate_stderr_combines():
 
 
 def test_affine_form_helpers():
-    c0 = AffineForm.coordinate(0, 3)
-    c1 = AffineForm.coordinate(1, 3)
-    f = c0 + c1 - AffineForm.coordinate(2, 3)
+    c1 = AffineForm((0, 1, 0), 0)
+    f = AffineForm((1, 1, -1), 0)
     assert f.bare_coordinate() is None
     assert c1.bare_coordinate() == 1
-    lo, hi = f.value_interval()
-    assert (lo, hi) == (Fraction(-1), Fraction(2))
-    assert f.shift(2).const == Fraction(2)
+    assert AffineForm((0, 1, 0), 1).bare_coordinate() is None
+    assert AffineForm((0, -1, 0), 0).bare_coordinate() is None
+    assert f.value_interval() == (-1, 2)
+    assert AffineForm((1, -1, 0), 1).value_interval() == (0, 2)
+
+
+def test_resolved_forms_are_integer_rows():
+    w = word("abab", "SSSS")
+    for case in build_cases(w):
+        cs = resolve_affine(w, case)
+        for _, form in cs.dep_forms:
+            assert len(form.coeffs) == cs.dim
+            assert all(type(c) is int for c in (*form.coeffs, form.const))
+
+
+WORDS6 = (
+    "aabbcc", "aabcbc", "aabccb", "ababcc", "abacbc", "abaccb", "abbacc", "abcabc",
+    "abcacb", "abbcac", "abcbac", "abccab", "abbcca", "abcbca", "abccba",
+)
+R_LIVE6 = {"aabbcc", "aabccb", "abbacc", "abcabc", "abbcca", "abccba"}
+
+# (cases, identity survivors, dedup survivors) of every word of the monomial
+GOLDEN_CASE_COUNTS = {
+    "TTTTTT": dict.fromkeys(WORDS6, (8, 1, 1)),
+    "SSSSSS": dict.fromkeys(WORDS6, (216, 7, 7)),
+    "RRRRRR": {w: (27, 7, 7) if w in R_LIVE6 else (27, 0, 0) for w in WORDS6},
+    "HHHSHS": {"aabcbc": (6, 1, 1), "abacbc": (6, 0, 0), "abbcac": (6, 1, 1)},
+    "WSWSWS": {},
+    "WSWWSW": {"abacbc": (24, 0, 0), "abcabc": (24, 0, 0), "abccba": (24, 1, 1)},
+}
+
+
+@pytest.mark.parametrize("mono", sorted(GOLDEN_CASE_COUNTS))
+def test_case_engine_golden_counts(mono):
+    got = {}
+    for w in enumerate_pair_matched_words(parse_monomial(mono)):
+        cases = build_cases(w)
+        systems = [resolve_affine(w, c) for c in cases]
+        alive = [cs for cs in systems if cs.identity_ok()]
+        got[w.text] = (len(cases), len(alive), len({cs.canonical_key() for cs in alive}))
+    assert got == GOLDEN_CASE_COUNTS[mono]
+
+
+def test_case_product_charged_against_budget():
+    w = word("abcabc", "SSSSSS")  # 6^3 = 216 cases
+    with pytest.raises(BudgetExceededError):
+        p_limit(w, "mc", samples=100, budget=100)
+    assert p_limit(w, "mc", samples=100, budget=216).value > 0
 
 
 def test_cached_volume_distinguishes_copy_indices():

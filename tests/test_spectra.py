@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import determinant_exact
-from patrm.algebra import parse_monomial
 from patrm.linkfns import LinkKind
 from patrm.sampler import InputDistribution, sample_matrix, substream
 from patrm.spectra import (
     Histogram,
     JacobiConvergenceError,
-    MatrixPolynomial,
-    SpectrumSummary,
     eigenvalues_symmetric,
     esd,
-    eval_polynomial,
     jacobi_eigenvalues,
     sum_lsd_report,
 )
@@ -115,30 +111,6 @@ def test_wigner_semicircle_support():
     assert outside <= 0.02
 
 
-def test_eval_polynomial_examples():
-    n = 16
-    samples = {
-        (LinkKind.TOEPLITZ, 1): sample_matrix(
-            LinkKind.TOEPLITZ, 1, n, GAUSS, substream(0, 0, LinkKind.TOEPLITZ, 1)
-        ).entries,
-        (LinkKind.HANKEL, 1): sample_matrix(
-            LinkKind.HANKEL, 1, n, GAUSS, substream(0, 0, LinkKind.HANKEL, 1)
-        ).entries,
-    }
-    p_sum = MatrixPolynomial(((1.0, parse_monomial("T")), (1.0, parse_monomial("H"))))
-    got = eval_polynomial(p_sum, samples, n)
-    want = (samples[(LinkKind.TOEPLITZ, 1)] + samples[(LinkKind.HANKEL, 1)]) / np.sqrt(n)
-    assert np.allclose(got, want)
-    with pytest.raises(ValueError):
-        eval_polynomial(MatrixPolynomial(((1.0, parse_monomial("TH")),)), samples, n)
-    sym = eval_polynomial(
-        MatrixPolynomial(((1.0, parse_monomial("TH")), (1.0, parse_monomial("HT")))), samples, n
-    )
-    assert np.abs(sym - sym.T).max() <= 1e-10 * np.abs(sym).max()
-    with pytest.raises(ValueError):
-        eval_polynomial(MatrixPolynomial(((1.0, parse_monomial("W")),)), samples, n)
-
-
 def test_polynomial_moment_stabilization():
     # m2/m4 of T+H drift by o(1) between n=256 and n=512 (trace route);
     # relative 10% bound, since m4 sits near 10 with per-rep noise ~1.6
@@ -156,14 +128,6 @@ def test_polynomial_moment_stabilization():
         moments[n] = (np.mean(m2s), np.mean(m4s))
     assert abs(moments[256][0] - moments[512][0]) <= 0.1 * moments[512][0]
     assert abs(moments[256][1] - moments[512][1]) <= 0.1 * moments[512][1]
-
-
-def test_spectrum_summary():
-    s = SpectrumSummary.from_eigenvalues(np.array([2.0, -1.0, 1.0]), kmax=3)
-    assert s.min == -1.0 and s.max == 2.0
-    assert s.moments[0] == pytest.approx(2 / 3)
-    assert s.moments[1] == pytest.approx(2.0)
-    assert np.all(np.diff(s.eigenvalues) >= 0)
 
 
 def test_sum_report_fields():
