@@ -38,10 +38,9 @@ from .limits import (
     p_limit,
     resolve_affine,
 )
-from .linkfns import DELTA, LinkKind, link_eval, link_solve, property_p_count
+from .linkfns import DELTA, LinkKind, link_eval, link_solve
 from .sampler import (
     InputDistribution,
-    MatrixSample,
     MomentEstimate,
     empirical_trace_moment,
     sample_matrix,
@@ -60,7 +59,6 @@ __all__ = [
     "Histogram",
     "InputDistribution",
     "LinkKind",
-    "MatrixSample",
     "MomentEstimate",
     "Monomial",
     "VolumeEstimate",
@@ -85,7 +83,6 @@ __all__ = [
     "match_pairs",
     "p_limit",
     "parse_monomial",
-    "property_p_count",
     "resolve_affine",
     "sample_matrix",
     "semicircle_moment",

@@ -172,20 +172,17 @@ def match_pairs(w: ColoredWord) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def enumerate_pair_matched_words(q: Monomial, respect_indices: bool = True) -> list[ColoredWord]:
-    """All perfect matchings of positions sharing color (and index, if respected).
+def enumerate_pair_matched_words(q: Monomial) -> list[ColoredWord]:
+    """All perfect matchings of positions sharing color and copy index.
 
-    Empty when the length is odd or any (color[, index]) class has odd
+    Empty when the length is odd or any (color, index) class has odd
     cardinality.  Words come out in lexicographic order of their letter
     strings.
     """
     k = len(q)
     if k % 2:
         return []
-    keys = [
-        (kind, idx if respect_indices else 1)
-        for kind, idx in q.letters
-    ]
+    keys = q.letters
     counts: dict[tuple[LinkKind, int], int] = {}
     for key in keys:
         counts[key] = counts.get(key, 0) + 1
@@ -268,15 +265,14 @@ def count_pairings(num_positions: int) -> int:
     return out
 
 
-def pairing_count_estimate(q: Monomial, respect_indices: bool = True) -> int:
+def pairing_count_estimate(q: Monomial) -> int:
     """Number of pair-matched words of the monomial, without enumerating them.
 
-    Product over (color[, index]) classes of the class's pairing count;
+    Product over (color, index) classes of the class's pairing count;
     zero when any class has odd cardinality.
     """
     counts: dict[tuple[LinkKind, int], int] = {}
-    for kind, idx in q.letters:
-        key = (kind, idx if respect_indices else 1)
+    for key in q.letters:
         counts[key] = counts.get(key, 0) + 1
     total = 1
     for c in counts.values():

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import __version__, limits
 from .algebra import (
-    enumerate_pair_matched_words,
     pairing_count_estimate,
     parse_monomial,
     word_from_text,
@@ -87,12 +86,7 @@ def _run_meta(args, **extra) -> dict:
 
 def cmd_words(args) -> int:
     q = parse_monomial(args.q)
-    est = pairing_count_estimate(q, respect_indices=True)
-    if est * len(q) > args.budget:
-        raise limits.BudgetExceededError(
-            f"monomial has ~{est:.2e} pair-matched words, budget is {args.budget:.2e}"
-        )
-    words = enumerate_pair_matched_words(q, respect_indices=True)
+    words = limits.pair_matched_words(q, args.budget)
     payload = {
         "q": str(q),
         "words": [w.to_json_dict() for w in words],
@@ -108,7 +102,6 @@ def cmd_tables(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["monomial", "word", "p_paper", "p_computed", "abs_err"])
-    worst = 0.0
     failures = []
     for row in ALL_ROWS:
         q = parse_monomial(row.monomial)
@@ -118,7 +111,6 @@ def cmd_tables(args) -> int:
         )
         p_paper = float(row.p_published)
         err = abs(est.value - p_paper)
-        worst = max(worst, err)
         if err > TABLE_TOLERANCE:
             failures.append((row.monomial, row.word, err))
         writer.writerow(
@@ -164,7 +156,7 @@ def cmd_alpha(args) -> int:
         "alpha": value,
         "stderr": stderr,
         "bound": limits.alpha_bound(q),
-        "words": pairing_count_estimate(q, respect_indices=True),
+        "words": pairing_count_estimate(q),
         "method": args.method,
         **_run_meta(args),
     }
@@ -256,20 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("tables", parents=[common], help="reference word-volume tables as CSV")
-    p.add_argument("--method", choices=("mc", "exact"), default="mc")
+    p.add_argument("--method", choices=limits.METHODS, default="mc")
     p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("pcw", parents=[common], help="limit volume of one word")
     p.add_argument("--q", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--method", choices=("mc", "exact"), default="mc")
+    p.add_argument("--method", choices=limits.METHODS, default="mc")
     p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_pcw)
 
     p = sub.add_parser("alpha", parents=[common], help="limiting trace moment of a monomial")
     p.add_argument("--q", required=True)
-    p.add_argument("--method", choices=("mc", "exact"), default="mc")
+    p.add_argument("--method", choices=limits.METHODS, default="mc")
     p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_alpha)
 

@@ -13,7 +13,6 @@ extrapolation, not a proved case.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -33,33 +32,6 @@ from .sampler import (
 
 PairPartition = tuple[tuple[int, int], ...]
 CyclePermutation = tuple[tuple[int, ...], ...]
-
-
-def is_noncrossing(partition: PairPartition) -> bool:
-    """No pairs (a, b), (c, d) with a < c < b < d."""
-    for (a, b), (c, d) in itertools.combinations(partition, 2):
-        if a < c < b < d or c < a < d < b:
-            return False
-    return True
-
-
-def all_pair_partitions(m: int) -> list[PairPartition]:
-    """Every perfect matching of {1..m}; empty for odd m."""
-    if m % 2:
-        return []
-    out: list[PairPartition] = []
-
-    def rec(avail: tuple[int, ...], acc: tuple[tuple[int, int], ...]):
-        if not avail:
-            out.append(acc)
-            return
-        a = avail[0]
-        for j in range(1, len(avail)):
-            b = avail[j]
-            rec(avail[1:j] + avail[j + 1 :], acc + ((a, b),))
-
-    rec(tuple(range(1, m + 1)), ())
-    return out
 
 
 def enumerate_nc2(m: int) -> list[PairPartition]:
@@ -308,7 +280,7 @@ def trace_factorization_check(
         per_power = np.empty((reps, len(powers)))
         for rep in range(reps):
             rng = np.random.default_rng(seed_sequence(seed, n, rep))
-            x = sample_matrix(kind, 1, n, dist, rng).entries
+            x = sample_matrix(kind, n, dist, rng)
             acc = np.eye(n)
             traces = {}
             kmax = max(powers)

@@ -21,7 +21,6 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +28,7 @@ import numpy as np
 from .algebra import (
     ColoredWord,
     Monomial,
+    count_pairings,
     drop_indices,
     enumerate_pair_matched_words,
     match_pairs,
@@ -39,6 +39,7 @@ from .sampler import seed_sequence
 
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 5_000_000_000
+METHODS = ("mc", "exact")
 _MC_CHUNK = 1 << 21
 
 # Per-kind link relations.  At a second occurrence s matched to the first
@@ -160,16 +161,6 @@ class VolumeEstimate:
     value: float
     stderr: float
     method: str  # "mc" | "exact"
-    n_used: Optional[int] = None
-    samples: Optional[int] = None
-
-    def to_json_dict(self) -> dict:
-        d = {"value": self.value, "stderr": self.stderr, "method": self.method}
-        if self.n_used is not None:
-            d["n_used"] = self.n_used
-        if self.samples is not None:
-            d["samples"] = self.samples
-        return d
 
 
 def _match_relations(w: ColoredWord) -> list[dict]:
@@ -230,14 +221,14 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not cs.identity_ok():
-        return VolumeEstimate(0.0, 0.0, "mc", samples=samples)
+        return VolumeEstimate(0.0, 0.0, "mc")
     forms = cs.inequality_forms()
     if not forms:
-        return VolumeEstimate(1.0, 0.0, "mc", samples=samples)
+        return VolumeEstimate(1.0, 0.0, "mc")
     for form in forms:
         lo, hi = form.value_interval()
         if hi <= 0 or lo >= 1:
-            return VolumeEstimate(0.0, 0.0, "mc", samples=samples)
+            return VolumeEstimate(0.0, 0.0, "mc")
     vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
     rng = np.random.default_rng(seed)
     hits = 0
@@ -253,7 +244,7 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
         remaining -= block
     p = hits / samples
     stderr = float(np.sqrt(p * (1.0 - p) / samples))
-    return VolumeEstimate(p, stderr, "mc", samples=samples)
+    return VolumeEstimate(p, stderr, "mc")
 
 
 def exact_count_work(w: ColoredWord, n: int) -> int:
@@ -337,6 +328,11 @@ def count_circuits_exact(
     return total
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+
+
 _EXACT_SIZE_DEFAULTS = {1: (40, 80), 2: (40, 80), 3: (24, 48)}
 
 
@@ -361,13 +357,14 @@ def p_limit(
     with stderr |f(2n) - f(n)|; falls back to "mc" when the enumeration
     would blow the work budget.
     """
+    _check_method(method)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
     k = len(w) // 2
     cap = float(max(delta(c) for c in set(w.colors)) ** k)
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
-        return VolumeEstimate(0.0, 0.0, method, samples=samples if method == "mc" else None)
+        return VolumeEstimate(0.0, 0.0, method)
 
     if method == "exact":
         n1, n2 = sizes if sizes is not None else _default_sizes(k)
@@ -376,10 +373,7 @@ def p_limit(
         f1 = count_circuits_exact(w, n1, budget=budget) / n1 ** (1 + k)
         f2 = count_circuits_exact(w, n2, budget=budget) / n2 ** (1 + k)
         value = min(max(2.0 * f2 - f1, 0.0), cap)
-        return VolumeEstimate(value, abs(f2 - f1), "exact", n_used=n2)
-
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
+        return VolumeEstimate(value, abs(f2 - f1), "exact")
 
     n_cases = math.prod(len(rel) for rel in _match_relations(w))
     if n_cases > budget:
@@ -401,15 +395,16 @@ def p_limit(
         total += est.value
         var += est.stderr ** 2
     value = min(max(total, 0.0), cap)
-    return VolumeEstimate(value, float(np.sqrt(var)), "mc", samples=samples)
+    return VolumeEstimate(value, float(np.sqrt(var)), "mc")
 
 
 def alpha_bound(q: Monomial) -> float:
     """Universal bound on the monomial limit from the pairing count.
 
     Zero for odd length or when some copy index appears an odd number of
-    times; otherwise k! Delta^{k/2} / ((k/2)! 2^{k/2}) with Delta the
-    largest solution bound among the kinds present.
+    times; otherwise the pairing count (k-1)!! = k! / ((k/2)! 2^{k/2})
+    times Delta^{k/2}, with Delta the largest solution bound among the
+    kinds present.
     """
     k = len(q)
     if k % 2:
@@ -420,13 +415,7 @@ def alpha_bound(q: Monomial) -> float:
     if any(c % 2 for c in counts.values()):
         return 0.0
     dmax = max(delta(kind) for kind, _ in q.letters)
-    num = Fraction(1)
-    for m in range(1, k + 1):
-        num *= m
-    den = Fraction(1)
-    for m in range(1, k // 2 + 1):
-        den *= m
-    return float(num * dmax ** (k // 2) / (den * 2 ** (k // 2)))
+    return float(count_pairings(k) * dmax ** (k // 2))
 
 
 _P_CACHE: dict = {}
@@ -458,6 +447,20 @@ def p_limit_cached(
     return _P_CACHE[key]
 
 
+def pair_matched_words(q: Monomial, budget: int) -> list[ColoredWord]:
+    """The monomial's pair-matched words, once their count fits the budget.
+
+    The count is known in closed form, so an oversized monomial raises
+    BudgetExceededError before any word is enumerated.
+    """
+    est_words = pairing_count_estimate(q)
+    if est_words * len(q) > budget:
+        raise BudgetExceededError(
+            f"monomial has ~{est_words:.2e} pair-matched words, budget is {budget:.2e}"
+        )
+    return enumerate_pair_matched_words(q)
+
+
 def alpha_estimate(
     q: Monomial,
     method: str = "mc",
@@ -467,14 +470,9 @@ def alpha_estimate(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, float]:
     """(value, stderr) of the limiting expected normalized trace moment."""
-    est_words = pairing_count_estimate(q, respect_indices=True)
-    if est_words * len(q) > budget:
-        raise BudgetExceededError(
-            f"monomial has ~{est_words:.2e} pair-matched words, budget is {budget:.2e}"
-        )
-    words = enumerate_pair_matched_words(q, respect_indices=True)
+    _check_method(method)
     total, var = 0.0, 0.0
-    for w in words:
+    for w in pair_matched_words(q, budget):
         est = p_limit_cached(
             drop_indices(w), method, samples=samples, seed=seed, budget=budget
         )

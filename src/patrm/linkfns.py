@@ -108,24 +108,6 @@ def link_solve(kind: LinkKind, n: int, prev: int, target: LValue) -> set[int]:
     return {(prev + t) % n, (prev - t) % n}
 
 
-def property_p_count(kind: LinkKind, n: int) -> int:
-    """max over column pairs (i, j), i != j, of #{k : L(k,i) = L(k,j)}.
-
-    Bounded uniformly in n for all five kinds; the bound controls how many
-    rows can simultaneously tie two columns together.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    keys = encoded_lvalues(kind, n)
-    # count equal entries between every pair of columns
-    best = 0
-    for i in range(n):
-        eq = (keys[:, i][:, None] == keys).sum(axis=0)
-        eq[i] = 0
-        best = max(best, int(eq.max()))
-    return best
-
-
 def encoded_lvalues(kind: LinkKind, n: int) -> np.ndarray:
     """n x n int64 matrix of link values, injectively encoded per kind.
 

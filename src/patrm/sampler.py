@@ -45,16 +45,6 @@ class InputDistribution(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MatrixSample:
-    """One realized ensemble member; entries are unscaled input values."""
-
-    kind: LinkKind
-    index: int
-    n: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class MomentEstimate:
     """Point estimate of a normalized trace moment over independent replicates."""
 
@@ -63,15 +53,6 @@ class MomentEstimate:
     reps: int
     n: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sd": self.stddev,
-            "reps": self.reps,
-            "n": self.n,
-            "seed": self.seed,
-        }
 
 
 def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
@@ -89,12 +70,11 @@ def substream(master_seed: int, replicate: int, kind: LinkKind, index: int) -> n
 
 def sample_matrix(
     kind: LinkKind,
-    index: int,
     n: int,
     dist: InputDistribution,
     rng: np.random.Generator,
-) -> MatrixSample:
-    """Draw one input value per distinct link value and fill the pattern."""
+) -> np.ndarray:
+    """Unscaled n x n member: one input value per distinct link value."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind is LinkKind.WIGNER:
@@ -107,7 +87,7 @@ def sample_matrix(
         size, keys = lvalue_key_grid(kind, n)
         vals = dist.draw(rng, size)
         entries = vals[keys]
-    return MatrixSample(kind, index, n, entries)
+    return entries
 
 
 def trace_moment_samples(
@@ -132,9 +112,7 @@ def trace_moment_samples(
         mats: dict[tuple[LinkKind, int], np.ndarray] = {}
         for kind, index in q.letters:
             if (kind, index) not in mats:
-                mats[(kind, index)] = sample_matrix(
-                    kind, index, n, dist, substream(seed, rep, kind, index)
-                ).entries
+                mats[(kind, index)] = sample_matrix(kind, n, dist, substream(seed, rep, kind, index))
         seq = [mats[(kind, index)] for kind, index in q.letters]
         if k == 1:
             tr = float(np.trace(seq[0]))

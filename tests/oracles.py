@@ -3,7 +3,8 @@
 Everything here is written from the raw definitions, separately from the
 package's solving/enumeration machinery: link values are inlined per
 formula, circuit counts come from full O(n^word_length) grids, matchings
-from itertools, determinants from exact fraction elimination.
+from itertools, determinants from exact fraction elimination, eigenvalues
+from cyclic Jacobi rotations.
 """
 
 from __future__ import annotations
@@ -131,3 +132,76 @@ def semicircle_moment_quadrature(k: int, grid: int = 200001) -> float:
     t = np.linspace(-2.0, 2.0, grid)
     dens = np.sqrt(np.maximum(4.0 - t * t, 0.0)) / (2.0 * np.pi)
     return float(np.trapezoid(t**k * dens, t))
+
+
+class JacobiConvergenceError(RuntimeError):
+    """Sweep budget exhausted; carries the relative off-diagonal residual."""
+
+    def __init__(self, residual: float, sweeps: int):
+        self.residual = residual
+        self.sweeps = sweeps
+        super().__init__(f"no convergence after {sweeps} sweeps; relative residual {residual:.3e}")
+
+
+def _rotation_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    # circle-method schedule: n-1 rounds of disjoint index pairs covering
+    # every off-diagonal pair exactly once per sweep
+    players = list(range(n)) if n % 2 == 0 else list(range(n)) + [-1]
+    m = len(players)
+    rounds = []
+    for _ in range(m - 1):
+        ps, qs = [], []
+        for i in range(m // 2):
+            a, b = players[i], players[m - 1 - i]
+            if a >= 0 and b >= 0:
+                ps.append(min(a, b))
+                qs.append(max(a, b))
+        rounds.append((np.asarray(ps), np.asarray(qs)))
+        players = [players[0], players[-1]] + players[1:-1]
+    return rounds
+
+
+def jacobi_eigenvalues(M, tol: float = 1e-10, max_sweeps: int = 50) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    One sweep visits every off-diagonal pair once, in rounds of disjoint
+    rotations applied simultaneously (parallel ordering, exact rotation
+    formulas).  Stops when off(A)_F <= tol * |A|_F; raises
+    JacobiConvergenceError with the residual otherwise.
+    """
+    A = np.array(M, dtype=float)
+    n = A.shape[0]
+    if n == 1:
+        return A.diagonal().copy()
+    fro = float(np.linalg.norm(A))
+    if fro == 0.0:
+        return np.zeros(n)
+    rounds = _rotation_rounds(n)
+    diag_mask = np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        # direct off-diagonal sum; a trace-subtraction formula would hit
+        # cancellation noise around sqrt(eps)*|A|_F and stall convergence
+        off = float(np.sqrt((np.where(diag_mask, 0.0, A) ** 2).sum()))
+        if off <= tol * fro:
+            return np.sort(np.diagonal(A).copy())
+        for P, Q in rounds:
+            apq = A[P, Q]
+            hit = apq != 0.0
+            if not hit.any():
+                continue
+            p, q, apq = P[hit], Q[hit], apq[hit]
+            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t[tau == 0.0] = 1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            cp, cq = A[:, p].copy(), A[:, q].copy()
+            A[:, p] = c * cp - s * cq
+            A[:, q] = s * cp + c * cq
+            rp, rq = A[p, :].copy(), A[q, :].copy()
+            A[p, :] = c[:, None] * rp - s[:, None] * rq
+            A[q, :] = s[:, None] * rp + c[:, None] * rq
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+    off = float(np.sqrt((np.where(diag_mask, 0.0, A) ** 2).sum()))
+    raise JacobiConvergenceError(off / fro, max_sweeps)

@@ -191,7 +191,7 @@ def test_c06_semicircle():
     n, reps = 512, 20
     m2s, m4s = [], []
     for rep in range(reps):
-        w = sample_matrix(LinkKind.WIGNER, 1, n, GAUSS, substream(SEED, rep, LinkKind.WIGNER, 1)).entries
+        w = sample_matrix(LinkKind.WIGNER, n, GAUSS, substream(SEED, rep, LinkKind.WIGNER, 1))
         eigs = eigenvalues_symmetric(w / np.sqrt(n))
         m2s.append(float((eigs**2).mean()))
         m4s.append(float((eigs**4).mean()))

@@ -46,8 +46,6 @@ def test_enumerate_examples():
     assert [w.text for w in enumerate_pair_matched_words(parse_monomial("THTH"))] == ["abab"]
     assert enumerate_pair_matched_words(parse_monomial("THT")) == []
     assert enumerate_pair_matched_words(parse_monomial("W1T1W2T1")) == []
-    # dropping index-respect frees the Wigner letters to pair
-    assert enumerate_pair_matched_words(parse_monomial("W1T1W2T1"), respect_indices=False) != []
 
 
 @given(st.lists(st.tuples(st.sampled_from(ALL_KINDS), st.integers(1, 2)), min_size=1, max_size=6))

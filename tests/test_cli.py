@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patrm import __version__
+from patrm import __version__, spectra
 from patrm.algebra import enumerate_pair_matched_words, parse_monomial
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from patrm.reference_tables import ALL_ROWS
@@ -103,6 +103,17 @@ def test_lsd_writes_csv_and_sidecar(tmp_path, capsys):
     assert sidecar["beta"][1] == pytest.approx(2.0, abs=0.4)
 
 
+@pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--kmax", "-1"), ("--bins", "0")])
+def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(spectra, "sample_matrix", no_sampling)
+    code, out, err = run(capsys, "lsd", "--a", "T", "--b", "H", "--n", "64", flag, value)
+    assert code == EXIT_USAGE
+    assert out == "" and f"{flag[2:]} must be >= 1" in err
+
+
 def test_freeness_command(capsys):
     code, out, _ = run(capsys, "freeness", "--q", "WWHH", "--samples", "100000")
     assert code == EXIT_OK
@@ -139,10 +150,11 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
-def test_budget_exit_three(capsys):
-    code, _, err = run(capsys, "alpha", "--q", "W" * 30, "--budget", "1000")
+@pytest.mark.parametrize("command", ["alpha", "words"])
+def test_budget_exit_three(capsys, command):
+    code, out, err = run(capsys, command, "--q", "W" * 30, "--budget", "1000")
     assert code == EXIT_BUDGET
-    assert "budget" in err
+    assert out == "" and "budget" in err
 
 
 def test_case_product_budget_exit_three(capsys):

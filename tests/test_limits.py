@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,25 @@ def test_alpha_bound_examples():
     assert alpha_bound(parse_monomial("WHWH")) == pytest.approx(3.0)
     assert alpha_bound(parse_monomial("THT")) == 0.0
     assert alpha_bound(parse_monomial("W1T1W2T1")) == 0.0
+    # k! Delta^{k/2} / ((k/2)! 2^{k/2}) at lengths where the integers are huge
+    for text, k, dmax in (("T" * 40, 40, 2), ("W" * 30, 30, 1)):
+        pairings = Fraction(math.factorial(k), math.factorial(k // 2) * 2 ** (k // 2))
+        assert alpha_bound(parse_monomial(text)) == float(pairings * dmax ** (k // 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: p_limit(word("abab", "THHT"), "bogus"),
+        lambda: alpha(parse_monomial("THT"), "bogus"),
+    ],
+    ids=["p_limit", "alpha"],
+)
+def test_unknown_method_rejected(call):
+    # each call has an early exit (color-inconsistent word, no pair-matched
+    # word) that must not skip the method check
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        call()
 
 
 def test_alpha_estimate_stderr_combines():

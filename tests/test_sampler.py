@@ -16,19 +16,19 @@ GAUSS = InputDistribution.GAUSSIAN
 
 
 def test_pattern_examples():
-    t = sample_matrix(LinkKind.TOEPLITZ, 1, 4, GAUSS, substream(0, 0, LinkKind.TOEPLITZ, 1))
-    assert t.entries[0, 2] == t.entries[1, 3]
-    r = sample_matrix(LinkKind.REVERSE_CIRCULANT, 1, 4, GAUSS, substream(0, 0, LinkKind.REVERSE_CIRCULANT, 1))
-    assert r.entries[0, 1] == r.entries[3, 2]
-    w = sample_matrix(LinkKind.WIGNER, 1, 3, GAUSS, substream(0, 0, LinkKind.WIGNER, 1))
-    upper = w.entries[np.triu_indices(3)]
+    t = sample_matrix(LinkKind.TOEPLITZ, 4, GAUSS, substream(0, 0, LinkKind.TOEPLITZ, 1))
+    assert t[0, 2] == t[1, 3]
+    r = sample_matrix(LinkKind.REVERSE_CIRCULANT, 4, GAUSS, substream(0, 0, LinkKind.REVERSE_CIRCULANT, 1))
+    assert r[0, 1] == r[3, 2]
+    w = sample_matrix(LinkKind.WIGNER, 3, GAUSS, substream(0, 0, LinkKind.WIGNER, 1))
+    upper = w[np.triu_indices(3)]
     assert len(set(upper.tolist())) == 6  # six independent draws
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("n", range(1, 33))
 def test_pattern_invariant_exhaustive(kind, n):
-    m = sample_matrix(kind, 1, n, GAUSS, substream(1, 0, kind, 1)).entries
+    m = sample_matrix(kind, n, GAUSS, substream(1, 0, kind, 1))
     assert np.array_equal(m, m.T)
     keys = encoded_lvalues(kind, n)
     flat_keys = keys.ravel()

@@ -3,17 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import determinant_exact
+from oracles import JacobiConvergenceError, determinant_exact, jacobi_eigenvalues
 from patrm.linkfns import LinkKind
 from patrm.sampler import InputDistribution, sample_matrix, substream
-from patrm.spectra import (
-    Histogram,
-    JacobiConvergenceError,
-    eigenvalues_symmetric,
-    esd,
-    jacobi_eigenvalues,
-    sum_lsd_report,
-)
+from patrm.spectra import Histogram, eigenvalues_symmetric, esd, sum_lsd_report
 
 GAUSS = InputDistribution.GAUSSIAN
 
@@ -30,14 +23,14 @@ def test_eigenvalues_examples():
 
 
 def test_determinant_oracle_both_methods():
+    # LAPACK and the Jacobi reference both reproduce the exact determinant
     rng = np.random.default_rng(8)
     for _ in range(5):
         scaled = rng.integers(-40, 40, size=(6, 6))
         sym = scaled + scaled.T
         m = sym / 16.0
         det = float(determinant_exact([[Fraction(int(v), 16) for v in row] for row in sym]))
-        for method in ("auto", "jacobi"):
-            eigs = eigenvalues_symmetric(m, method=method)
+        for eigs in (eigenvalues_symmetric(m), jacobi_eigenvalues(m)):
             prod = float(np.prod(eigs))
             assert prod == pytest.approx(det, rel=1e-6, abs=1e-9)
 
@@ -58,8 +51,8 @@ def test_jacobi_agrees_with_lapack():
     rng = np.random.default_rng(11)
     for n in (3, 16, 40):
         m = _random_symmetric(n, rng)
-        a = eigenvalues_symmetric(m, method="jacobi")
-        b = eigenvalues_symmetric(m, method="lapack")
+        a = jacobi_eigenvalues(m)
+        b = eigenvalues_symmetric(m)
         assert np.abs(a - b).max() < 1e-9 * max(np.abs(b).max(), 1.0)
 
 
@@ -105,7 +98,7 @@ def test_esd_density_normalization_random():
 
 
 def test_wigner_semicircle_support():
-    m = sample_matrix(LinkKind.WIGNER, 1, 512, GAUSS, substream(4, 0, LinkKind.WIGNER, 1)).entries
+    m = sample_matrix(LinkKind.WIGNER, 512, GAUSS, substream(4, 0, LinkKind.WIGNER, 1))
     eigs = eigenvalues_symmetric(m / np.sqrt(512))
     outside = np.mean((eigs < -2.2) | (eigs > 2.2))
     assert outside <= 0.02
@@ -118,8 +111,8 @@ def test_polynomial_moment_stabilization():
     for n in (256, 512):
         m2s, m4s = [], []
         for rep in range(24):
-            t = sample_matrix(LinkKind.TOEPLITZ, 1, n, GAUSS, substream(21, rep, LinkKind.TOEPLITZ, 1)).entries
-            h = sample_matrix(LinkKind.HANKEL, 1, n, GAUSS, substream(21, rep, LinkKind.HANKEL, 1)).entries
+            t = sample_matrix(LinkKind.TOEPLITZ, n, GAUSS, substream(21, rep, LinkKind.TOEPLITZ, 1))
+            h = sample_matrix(LinkKind.HANKEL, n, GAUSS, substream(21, rep, LinkKind.HANKEL, 1))
             m = (t + h) / np.sqrt(n)
             m2 = np.trace(m @ m) / n
             m4 = np.trace(np.linalg.matrix_power(m, 4)) / n
