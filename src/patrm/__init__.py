@@ -38,7 +38,7 @@ from .limits import (
     p_limit,
     resolve_affine,
 )
-from .linkfns import DELTA, LinkKind, link_eval, link_solve
+from .linkfns import DELTA, LinkKind
 from .sampler import (
     InputDistribution,
     MomentEstimate,
@@ -78,8 +78,6 @@ __all__ = [
     "free_moment_prediction",
     "freeness_report",
     "is_catalan",
-    "link_eval",
-    "link_solve",
     "match_pairs",
     "p_limit",
     "parse_monomial",

@@ -120,9 +120,6 @@ class ColoredWord:
             seen.setdefault(lid, (col, idx))
         return True
 
-    def monomial(self) -> Monomial:
-        return Monomial(tuple(zip(self.colors, self.indices)))
-
     def to_json_dict(self) -> dict:
         return {
             "word": self.text,

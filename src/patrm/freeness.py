@@ -1,21 +1,21 @@
 """Non-crossing pair-partition moment predictions and freeness diagnostics.
 
 The prediction machinery evaluates mixed moments of a free semicircular
-family against arbitrary marginals: decompose the monomial into guide
-letters alternating with blocks, sum over color-respecting non-crossing
-pair partitions of the guide letters, and multiply block marginals along
-the cycles of the partition composed with the full cycle.  Wigner copies
-play the semicircular role; the same machinery with another kind in that
-role quantifies *non*-freeness.  Multi-copy guide families use the
-colored partition filter; coverage beyond two copies is numerical
-extrapolation, not a proved case.
+family against the limits of the other letters: decompose the monomial
+into guide letters alternating with blocks, sum over color-respecting
+non-crossing pair partitions of the guide letters, and multiply block
+limits (alpha) along the cycles of the partition composed with the full
+cycle.  Wigner copies play the semicircular role; the same machinery with
+another kind in that role quantifies *non*-freeness.  Multi-copy guide
+families use the colored partition filter; coverage beyond two copies is
+numerical extrapolation, not a proved case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -136,37 +136,22 @@ def alternating_decomposition(q: Monomial, guide_kind: LinkKind = LinkKind.WIGNE
     return AlternatingMonomial(guide_kind, tuple(guide_indices), tuple(blocks))
 
 
-def default_marginal(
-    method: str = "mc",
-    samples: int = limits.DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-) -> Callable[[tuple], float]:
-    """Marginal limit functional: alpha on non-guide monomials, 1 on the empty word."""
-
-    def marginal(letters: tuple) -> float:
-        if not letters:
-            return 1.0
-        return limits.alpha(Monomial(letters), method, samples=samples, seed=seed)
-
-    return marginal
-
-
 def free_moment_prediction(
     q: Monomial,
-    marginal: Optional[Callable[[tuple], float]] = None,
     guide_kind: LinkKind = LinkKind.WIGNER,
-    **marginal_kwargs,
+    *,
+    samples: int = limits.DEFAULT_MC_SAMPLES,
+    seed: int = 0,
 ) -> float:
     """Mixed-moment value if the guide copies were a free semicircular family.
 
     Sum over color-respecting non-crossing pair partitions of the guide
     positions; each partition contributes the product, over cycles of the
     partition composed with the full cycle, of the marginal of the
-    concatenated blocks visited by that cycle.
+    concatenated blocks visited by that cycle: the Monte Carlo limit alpha
+    of the block monomial, or 1 for an empty block.
     """
     alt = alternating_decomposition(q, guide_kind)
-    if marginal is None:
-        marginal = default_marginal(**marginal_kwargs)
     total = 0.0
     for sigma in filter_colored(enumerate_nc2(alt.m), alt.guide_indices):
         prod = 1.0
@@ -174,7 +159,8 @@ def free_moment_prediction(
             letters: tuple = ()
             for r in cycle:
                 letters = letters + alt.blocks[r - 1]
-            prod *= marginal(letters)
+            if letters:
+                prod *= limits.alpha(Monomial(letters), "mc", samples=samples, seed=seed)
         total += prod
     return total
 
@@ -225,7 +211,6 @@ def freeness_report(
     dist: InputDistribution = InputDistribution.GAUSSIAN,
     reps: int = 0,
     tol: float = 0.03,
-    method: str = "mc",
     samples: int = limits.DEFAULT_MC_SAMPLES,
     seed: int = 0,
 ) -> FreenessReport:
@@ -241,8 +226,8 @@ def freeness_report(
         raise ValueError("freeness check requires at least one Wigner letter")
     if kinds == {LinkKind.WIGNER}:
         raise ValueError("freeness check requires at least one non-Wigner letter")
-    a_val, a_err = limits.alpha_estimate(q, method, samples=samples, seed=seed)
-    pred = free_moment_prediction(q, method=method, samples=samples, seed=seed)
+    a_val, a_err = limits.alpha_estimate(q, "mc", samples=samples, seed=seed)
+    pred = free_moment_prediction(q, samples=samples, seed=seed)
     emp = emp_sd = emp_dev = None
     if reps >= 1 and n >= 1:
         est = empirical_trace_moment(q, n, dist, reps, seed)

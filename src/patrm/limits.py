@@ -34,7 +34,7 @@ from .algebra import (
     match_pairs,
     pairing_count_estimate,
 )
-from .linkfns import LinkKind, branch_count, delta, solve_branch_grid
+from .linkfns import DELTA, LinkKind, solve_branch_grid
 from .sampler import seed_sequence
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -252,24 +252,17 @@ def exact_count_work(w: ColoredWord, n: int) -> int:
     pairs = match_pairs(w)
     patterns = 1
     for _, s in pairs:
-        patterns *= branch_count(w.colors[s - 1])
+        patterns *= DELTA[w.colors[s - 1]]
     return n ** (len(pairs) + 1) * patterns
 
 
-def count_circuits_exact(
-    w: ColoredWord,
-    n: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    wigner_c2_only: bool = False,
-) -> int:
+def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of circuits whose matched edges carry equal link values.
 
     Enumerates all assignments of generating vertices; each dependent
     vertex branches over the solutions of its link equation (at most
-    delta(kind) per step), and the walk closes on the starting vertex.
-    Duplicate-free by construction.  With wigner_c2_only, Wigner matches
-    admit only the reversed endpoint identification.
+    DELTA[kind] per step), and the walk closes on the starting vertex.
+    Duplicate-free by construction.
     """
     if not w.is_pair_matched():
         raise ValueError("exact counting requires a pair-matched word")
@@ -293,13 +286,7 @@ def count_circuits_exact(
         axes[pos] = np.arange(n, dtype=np.int64).reshape(shape)
 
     seconds = [s for s in range(1, length + 1) if s in first_of]
-    domains = []
-    for s in seconds:
-        kind = w.colors[s - 1]
-        if kind is LinkKind.WIGNER and wigner_c2_only:
-            domains.append((1,))
-        else:
-            domains.append(tuple(range(branch_count(kind))))
+    domains = [range(DELTA[w.colors[s - 1]]) for s in seconds]
 
     total = 0
     for v0 in range(n):
@@ -311,12 +298,7 @@ def count_circuits_exact(
             for s, br in zip(seconds, branches):
                 f = first_of[s]
                 kind = w.colors[s - 1]
-                prev, fa, fb = vals[s - 1], vals[f - 1], vals[f]
-                if kind is LinkKind.WIGNER and wigner_c2_only:
-                    x, valid = fa, prev == fb
-                else:
-                    x, valid = solve_branch_grid(kind, n, prev, fa, fb, br)
-                vals[s] = x
+                vals[s], valid = solve_branch_grid(kind, n, vals[s - 1], vals[f - 1], vals[f], br)
                 mask = mask & valid
                 if mask is not True and not mask.any():
                     dead = True
@@ -333,11 +315,8 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
+# Richardson sizes (n, 2n) of the exact route, per number of matches
 _EXACT_SIZE_DEFAULTS = {1: (40, 80), 2: (40, 80), 3: (24, 48)}
-
-
-def _default_sizes(k: int) -> tuple[int, int]:
-    return _EXACT_SIZE_DEFAULTS.get(k, (16, 32))
 
 
 def p_limit(
@@ -346,7 +325,6 @@ def p_limit(
     *,
     samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    sizes: Optional[tuple[int, int]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> VolumeEstimate:
     """Limiting normalized circuit count of a pair-matched word.
@@ -354,24 +332,23 @@ def p_limit(
     method "mc": sum of Monte-Carlo case volumes over deduplicated
     surviving constraint systems.  method "exact": exact counts at two
     sizes n < 2n combined by Richardson extrapolation 2 f(2n) - f(n),
-    with stderr |f(2n) - f(n)|; falls back to "mc" when the enumeration
-    would blow the work budget.
+    with stderr |f(2n) - f(n)|; raises BudgetExceededError when the
+    count at 2n would exceed the work budget.
     """
     _check_method(method)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
     k = len(w) // 2
-    cap = float(max(delta(c) for c in set(w.colors)) ** k)
+    cap = float(max(DELTA[c] for c in set(w.colors)) ** k)
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
         return VolumeEstimate(0.0, 0.0, method)
 
     if method == "exact":
-        n1, n2 = sizes if sizes is not None else _default_sizes(k)
-        if exact_count_work(w, n2) > budget:
-            return p_limit(w, "mc", samples=samples, seed=seed, budget=budget)
-        f1 = count_circuits_exact(w, n1, budget=budget) / n1 ** (1 + k)
+        n1, n2 = _EXACT_SIZE_DEFAULTS.get(k, (16, 32))
+        # the larger size first, so an over-budget request fails before counting
         f2 = count_circuits_exact(w, n2, budget=budget) / n2 ** (1 + k)
+        f1 = count_circuits_exact(w, n1, budget=budget) / n1 ** (1 + k)
         value = min(max(2.0 * f2 - f1, 0.0), cap)
         return VolumeEstimate(value, abs(f2 - f1), "exact")
 
@@ -414,7 +391,7 @@ def alpha_bound(q: Monomial) -> float:
         counts[idx] = counts.get(idx, 0) + 1
     if any(c % 2 for c in counts.values()):
         return 0.0
-    dmax = max(delta(kind) for kind, _ in q.letters)
+    dmax = max(DELTA[kind] for kind, _ in q.letters)
     return float(count_pairings(k) * dmax ** (k // 2))
 
 

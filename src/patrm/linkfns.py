@@ -11,11 +11,8 @@ values within one kind.
 from __future__ import annotations
 
 import enum
-from typing import Union
 
 import numpy as np
-
-LValue = Union[int, tuple[int, int]]
 
 
 class LinkKind(enum.Enum):
@@ -41,7 +38,8 @@ class LinkKind(enum.Enum):
 
 ALL_KINDS = tuple(LinkKind)
 
-# Maximum number of solutions x of L(p, x) = t, uniform in n, p, t.
+# Maximum number of solutions x of L(p, x) = t, uniform in n, p, t; also
+# the number of branches solve_branch_grid splits the solutions into.
 DELTA = {
     LinkKind.WIGNER: 1,
     LinkKind.TOEPLITZ: 2,
@@ -49,63 +47,6 @@ DELTA = {
     LinkKind.REVERSE_CIRCULANT: 1,
     LinkKind.SYMMETRIC_CIRCULANT: 2,
 }
-
-
-def delta(kind: LinkKind) -> int:
-    return DELTA[kind]
-
-
-def _check_vertex(n: int, v: int) -> None:
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range for n={n}")
-
-
-def link_eval(kind: LinkKind, n: int, i: int, j: int) -> LValue:
-    """Link value of the edge (i, j); symmetric in its vertex arguments."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_vertex(n, i)
-    _check_vertex(n, j)
-    if kind is LinkKind.TOEPLITZ:
-        return abs(i - j)
-    if kind is LinkKind.HANKEL:
-        return i + j
-    if kind is LinkKind.REVERSE_CIRCULANT:
-        return (i + j) % n
-    if kind is LinkKind.SYMMETRIC_CIRCULANT:
-        d = abs(i - j) % n
-        return min(d, n - d)
-    # Wigner: the unordered pair, stored as (min, max)
-    return (min(i, j), max(i, j))
-
-
-def link_solve(kind: LinkKind, n: int, prev: int, target: LValue) -> set[int]:
-    """All x in {0,...,n-1} with link_eval(kind, n, prev, x) == target.
-
-    The empty set is a valid result; cardinality never exceeds delta(kind).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_vertex(n, prev)
-    if kind is LinkKind.WIGNER:
-        a, b = target
-        if prev == a:
-            return {b}
-        if prev == b:
-            return {a}
-        return set()
-    t = int(target)
-    if kind is LinkKind.TOEPLITZ:
-        return {x for x in (prev + t, prev - t) if 0 <= x < n}
-    if kind is LinkKind.HANKEL:
-        x = t - prev
-        return {x} if 0 <= x < n else set()
-    if kind is LinkKind.REVERSE_CIRCULANT:
-        return {(t - prev) % n} if 0 <= t < n else set()
-    # symmetric circulant
-    if not 0 <= t <= n - t:
-        return set()
-    return {(prev + t) % n, (prev - t) % n}
 
 
 def encoded_lvalues(kind: LinkKind, n: int) -> np.ndarray:
@@ -133,26 +74,12 @@ def lvalue_key_grid(kind: LinkKind, n: int) -> tuple[int, np.ndarray]:
 
     Used to fill a patterned matrix from a flat vector of independent
     draws.  Wigner is excluded (its upper triangle is filled directly).
+    Every slot in 0..size-1 occurs, so the size is the largest key plus one.
     """
     if kind is LinkKind.WIGNER:
         raise ValueError("Wigner entries are drawn per upper-triangle cell, not via a key grid")
     keys = encoded_lvalues(kind, n)
-    sizes = {
-        LinkKind.TOEPLITZ: n,
-        LinkKind.HANKEL: 2 * n - 1,
-        LinkKind.REVERSE_CIRCULANT: n,
-        LinkKind.SYMMETRIC_CIRCULANT: n // 2 + 1,
-    }
-    return sizes[kind], keys
-
-
-def branch_count(kind: LinkKind) -> int:
-    """Number of enumeration branches used by the exact circuit counter.
-
-    Branches partition the solution set of link_solve so that, over a grid
-    of partial circuits, every solution appears in exactly one branch.
-    """
-    return 2 if kind in (LinkKind.TOEPLITZ, LinkKind.SYMMETRIC_CIRCULANT) else 1
+    return int(keys.max()) + 1, keys
 
 
 def solve_branch_grid(
@@ -163,11 +90,11 @@ def solve_branch_grid(
     fb: np.ndarray,
     branch: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized link_solve against the target fixed by the edge (fa, fb).
+    """Solutions x of L(prev, x) = L(fa, fb), one branch at a time, on a grid.
 
     Returns (x, valid): candidate next vertices and a mask of grid cells
-    where the branch yields a genuine, not-yet-seen solution.  Union over
-    branches equals the full solution set, disjointly.
+    where the branch yields a genuine, not-yet-seen solution.  The union
+    over branches 0..DELTA[kind]-1 is the full solution set, disjointly.
     """
     if kind is LinkKind.TOEPLITZ:
         t = np.abs(fa - fb)

@@ -17,27 +17,28 @@ from .sampler import InputDistribution, sample_matrix, substream
 
 DEFAULT_SIZE_CAP = 1200
 DEFAULT_BINS = 50
+# relative asymmetry, against the largest entry, that an input may carry
+_SYMMETRY_TOL = 1e-10
 
 
-def eigenvalues_symmetric(
-    M: np.ndarray,
-    tol: float = 1e-10,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix.
+def _check_size(n: int) -> None:
+    if n > DEFAULT_SIZE_CAP:
+        raise ValueError(f"matrix size {n} exceeds cap {DEFAULT_SIZE_CAP}")
 
-    tol is the relative asymmetry the input may carry.  The eigenvalue
-    sum matches the trace, and the sum of squares the squared Frobenius
-    norm, to 1e-8 * |M|_F (checked by the test suite).
+
+def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix of size <= DEFAULT_SIZE_CAP.
+
+    The eigenvalue sum matches the trace, and the sum of squares the
+    squared Frobenius norm, to 1e-8 * |M|_F (checked by the test suite).
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(A).max() or 1.0
-    if np.abs(A - A.T).max() > max(tol, 1e-10) * scale:
+    if np.abs(A - A.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    if A.shape[0] > size_cap:
-        raise ValueError(f"matrix size {A.shape[0]} exceeds cap {size_cap}")
+    _check_size(A.shape[0])
     return np.sort(np.linalg.eigvalsh(A))
 
 
@@ -137,6 +138,7 @@ def sum_lsd_report(
         raise ValueError("kmax must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    _check_size(n)
     idx_b = 2 if kind_a == kind_b else 1
     pooled = []
     moments = np.zeros((reps, kmax))

@@ -103,15 +103,24 @@ def test_lsd_writes_csv_and_sidecar(tmp_path, capsys):
     assert sidecar["beta"][1] == pytest.approx(2.0, abs=0.4)
 
 
-@pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--kmax", "-1"), ("--bins", "0")])
-def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value):
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--kmax", "0", "kmax must be >= 1"),
+        ("--kmax", "-1", "kmax must be >= 1"),
+        ("--bins", "0", "bins must be >= 1"),
+        ("--n", "1201", "matrix size 1201 exceeds cap 1200"),
+    ],
+    ids=["--kmax-0", "--kmax--1", "--bins-0", "--n-1201"],
+)
+def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the arguments")
 
     monkeypatch.setattr(spectra, "sample_matrix", no_sampling)
     code, out, err = run(capsys, "lsd", "--a", "T", "--b", "H", "--n", "64", flag, value)
     assert code == EXIT_USAGE
-    assert out == "" and f"{flag[2:]} must be >= 1" in err
+    assert out == "" and message in err
 
 
 def test_freeness_command(capsys):
@@ -150,9 +159,20 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", ["alpha", "words"])
-def test_budget_exit_three(capsys, command):
-    code, out, err = run(capsys, command, "--q", "W" * 30, "--budget", "1000")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["alpha", "--q", "W" * 30, "--budget", "1000"], id="alpha"),
+        pytest.param(["words", "--q", "W" * 30, "--budget", "1000"], id="words"),
+        # an exact count over budget fails; it does not fall back to mc
+        pytest.param(["alpha", "--q", "TTTT", "--method", "exact", "--budget", "10000"], id="alpha-exact"),
+        pytest.param(
+            ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "10000"], id="pcw-exact"
+        ),
+    ],
+)
+def test_budget_exit_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_BUDGET
     assert out == "" and "budget" in err
 

@@ -7,6 +7,7 @@ from oracles import (
     noncrossing_matchings_bruteforce,
     semicircle_moment_quadrature,
 )
+from patrm import limits
 from patrm.algebra import (
     all_monomials,
     drop_indices,
@@ -100,12 +101,10 @@ def test_alternating_decomposition():
 
 
 def test_prediction_examples():
-    marginal_kwargs = dict(samples=100000, seed=4)
-    assert free_moment_prediction(parse_monomial("WWTT"), **marginal_kwargs) == pytest.approx(
-        1.0, abs=0.01
-    )
-    assert free_moment_prediction(parse_monomial("WTWT"), **marginal_kwargs) == 0.0
-    assert free_moment_prediction(parse_monomial("WWWW"), **marginal_kwargs) == pytest.approx(2.0)
+    mc = dict(samples=100000, seed=4)
+    assert free_moment_prediction(parse_monomial("WWTT"), **mc) == pytest.approx(1.0, abs=0.01)
+    assert free_moment_prediction(parse_monomial("WTWT"), **mc) == 0.0
+    assert free_moment_prediction(parse_monomial("WWWW"), **mc) == pytest.approx(2.0)
 
 
 def test_prediction_with_non_wigner_guide_detects_dependence():
@@ -187,7 +186,15 @@ def test_wigner_string_vanishing(other):
 
 
 @pytest.mark.parametrize("other", "TH")
-def test_surviving_words_concentrate_on_reversed_wigner_class(other):
+def test_surviving_words_concentrate_on_reversed_wigner_class(other, monkeypatch):
+    solve = limits.solve_branch_grid
+
+    def c2_only(kind, n, prev, fa, fb, branch):
+        # a Wigner match takes only the reversed endpoint identification
+        if kind is W:
+            return fa, prev == fb
+        return solve(kind, n, prev, fa, fb, branch)
+
     kinds = (W, LinkKind.from_char(other))
     for length in (4, 6):
         for q in all_monomials(kinds, length):
@@ -202,7 +209,9 @@ def test_surviving_words_concentrate_on_reversed_wigner_class(other):
                 gaps = []
                 for n in (12, 24):
                     full = count_circuits_exact(w, n)
-                    c2 = count_circuits_exact(w, n, wigner_c2_only=True)
+                    with monkeypatch.context() as m:
+                        m.setattr(limits, "solve_branch_grid", c2_only)
+                        c2 = count_circuits_exact(w, n)
                     gaps.append((full - c2) / n ** (1 + k))
                 assert gaps[1] <= gaps[0] + 1e-12
 

@@ -204,10 +204,10 @@ def test_catalan_floor_smoke():
         assert count_circuits_exact(w, n) >= n**4
 
 
-def test_exact_fallback_to_mc_when_over_budget():
+def test_exact_over_budget_raises():
     w = word("abcabc", "TTTTTT")
-    est = p_limit(w, "exact", samples=20000, seed=0, budget=10_000)
-    assert est.method == "mc"
+    with pytest.raises(BudgetExceededError):
+        p_limit(w, "exact", samples=20000, seed=0, budget=10_000)
 
 
 def test_alpha_examples():

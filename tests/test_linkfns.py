@@ -8,74 +8,107 @@ from patrm.linkfns import (
     ALL_KINDS,
     DELTA,
     LinkKind,
-    branch_count,
     encoded_lvalues,
-    link_eval,
-    link_solve,
     solve_branch_grid,
 )
 
 kinds = st.sampled_from(ALL_KINDS)
 
 
+def _grid(kind, n):
+    v = np.arange(n)
+    return lvalue_grid(kind.char, n, v[:, None], v[None, :])
+
+
+def _branch_solutions(kind, n, prev, fa, fb):
+    """Solutions found by each branch of solve_branch_grid at one grid cell."""
+    found = []
+    for br in range(DELTA[kind]):
+        x, valid = solve_branch_grid(kind, n, np.asarray(prev), np.asarray(fa), np.asarray(fb), br)
+        if bool(np.asarray(valid)):
+            found.append(int(np.asarray(x)))
+    return found
+
+
+def _scan(kind, n, prev, fa, fb):
+    """Exhaustive solutions of L(prev, x) = L(fa, fb) from the oracle grid."""
+    grid = _grid(kind, n)
+    return {x for x in range(n) if grid[prev, x] == grid[fa, fb]}
+
+
 def test_eval_examples():
-    assert link_eval(LinkKind.TOEPLITZ, 5, 1, 3) == 2
-    assert link_eval(LinkKind.WIGNER, 5, 2, 0) == (0, 2)
-    assert link_eval(LinkKind.REVERSE_CIRCULANT, 6, 3, 4) == 1
-    assert link_eval(LinkKind.SYMMETRIC_CIRCULANT, 10, 0, 8) == 2
-
-
-def test_eval_range_errors():
-    with pytest.raises(ValueError):
-        link_eval(LinkKind.TOEPLITZ, 5, 5, 0)
-    with pytest.raises(ValueError):
-        link_eval(LinkKind.TOEPLITZ, 5, 0, -1)
-    with pytest.raises(ValueError):
-        link_solve(LinkKind.TOEPLITZ, 5, 9, 1)
+    assert encoded_lvalues(LinkKind.TOEPLITZ, 5)[1, 3] == 2
+    assert encoded_lvalues(LinkKind.WIGNER, 5)[2, 0] == 0 * 5 + 2
+    assert encoded_lvalues(LinkKind.REVERSE_CIRCULANT, 6)[3, 4] == 1
+    assert encoded_lvalues(LinkKind.SYMMETRIC_CIRCULANT, 10)[0, 8] == 2
 
 
 def test_solve_examples():
-    assert link_solve(LinkKind.TOEPLITZ, 10, 4, 3) == {1, 7}
-    assert link_solve(LinkKind.HANKEL, 10, 4, 25) == set()
-    assert link_solve(LinkKind.WIGNER, 10, 3, (1, 3)) == {1}
-    # scan oracle for the reverse circulant case
-    expected = {x for x in range(6) if (4 + x) % 6 == 3}
-    assert link_solve(LinkKind.REVERSE_CIRCULANT, 6, 4, 3) == expected
+    # Toeplitz: |4 - x| = |2 - 5|
+    assert sorted(_branch_solutions(LinkKind.TOEPLITZ, 10, 4, 2, 5)) == [1, 7]
+    # Hankel: 4 + x = 9 + 9 needs x = 14, outside {0..9}
+    assert _branch_solutions(LinkKind.HANKEL, 10, 4, 9, 9) == []
+    # Wigner: {3, x} = {1, 3}
+    assert _branch_solutions(LinkKind.WIGNER, 10, 3, 1, 3) == [1]
+    assert _branch_solutions(LinkKind.WIGNER, 10, 2, 1, 3) == []
+    expected = {x for x in range(6) if (4 + x) % 6 == (1 + 2) % 6}
+    assert set(_branch_solutions(LinkKind.REVERSE_CIRCULANT, 6, 4, 1, 2)) == expected
 
 
-@given(kinds, st.integers(1, 64), st.data())
-def test_eval_symmetry(kind, n, data):
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    assert link_eval(kind, n, i, j) == link_eval(kind, n, j, i)
+@given(kinds, st.integers(1, 64))
+def test_eval_symmetry(kind, n):
+    enc = encoded_lvalues(kind, n)
+    assert np.array_equal(enc, enc.T)
 
 
 @given(kinds, st.integers(1, 32), st.data())
 def test_solve_eval_consistency_and_property_b(kind, n, data):
     prev = data.draw(st.integers(0, n - 1))
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    target = link_eval(kind, n, i, j)
-    sols = link_solve(kind, n, prev, target)
-    assert len(sols) <= DELTA[kind]
-    exhaustive = {x for x in range(n) if link_eval(kind, n, prev, x) == target}
-    assert sols == exhaustive
+    fa = data.draw(st.integers(0, n - 1))
+    fb = data.draw(st.integers(0, n - 1))
+    found = _branch_solutions(kind, n, prev, fa, fb)
+    assert len(found) <= DELTA[kind]
+    assert set(found) == _scan(kind, n, prev, fa, fb)
 
 
-@given(kinds, st.integers(2, 24))
-def test_solve_covers_every_target_exhaustively(kind, n):
-    for prev in range(n):
-        targets = {link_eval(kind, n, prev, x) for x in range(n)}
-        for t in targets:
-            sols = link_solve(kind, n, prev, t)
-            assert sols == {x for x in range(n) if link_eval(kind, n, prev, x) == t}
-            assert 1 <= len(sols) <= DELTA[kind]
+def test_solve_covers_every_target_exhaustively():
+    # every (prev, fa, fb) cell at once: each branch yields only genuine
+    # solutions, the branches are disjoint, and together they find them all
+    for kind in ALL_KINDS:
+        for n in (1, 2, 7, 12):
+            grid = _grid(kind, n)
+            v = np.arange(n)
+            prev, fa, fb = v[:, None, None], v[None, :, None], v[None, None, :]
+            target = grid[fa, fb]
+            found = np.zeros((n, n, n), dtype=np.int64)
+            xs = []
+            for br in range(DELTA[kind]):
+                x, valid = np.broadcast_arrays(*solve_branch_grid(kind, n, prev, fa, fb, br))
+                assert ((x[valid] >= 0) & (x[valid] < n)).all()
+                assert (grid[prev, np.clip(x, 0, n - 1)] == target)[valid].all()
+                xs.append(np.where(valid, x, -1 - br))
+                found += valid
+            if len(xs) == 2:
+                assert not (xs[0] == xs[1]).any()
+            scan = (grid[prev[..., None], v] == target[..., None]).sum(axis=-1)
+            assert np.array_equal(found, scan)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_delta_is_the_largest_solution_count(kind):
+    # Property B: the solution count of L(p, x) = t is bounded by DELTA
+    # uniformly, and the bound is attained
+    worst = 0
+    for n in range(1, 25):
+        grid = _grid(kind, n)
+        for row in grid:
+            worst = max(worst, int(np.unique(row, return_counts=True)[1].max()))
+    assert worst == DELTA[kind]
 
 
 def _property_p_count(kind, n):
     """max over column pairs i != j of #{rows k : L(k, i) = L(k, j)}."""
-    v = np.arange(n)
-    keys = lvalue_grid(kind.char, n, v[:, None], v[None, :])
+    keys = _grid(kind, n)
     ties = (keys[:, :, None] == keys[:, None, :]).sum(axis=0)
     np.fill_diagonal(ties, 0)
     return int(ties.max())
@@ -91,18 +124,11 @@ def test_property_p_bounded(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_encoded_lvalues_match_eval(kind):
-    n = 17
-    enc = encoded_lvalues(kind, n)
-    for i in range(n):
-        for j in range(n):
-            same = enc[i, j] == enc
-            for a in range(n):
-                for b in range(n):
-                    want = link_eval(kind, n, i, j) == link_eval(kind, n, a, b)
-                    assert bool(same[a, b]) == want
-            break  # one row per i is plenty
-        if i > 4:
-            break
+    # equal encodings exactly where the oracle's link values are equal
+    for n in (1, 2, 16, 17):
+        enc = encoded_lvalues(kind, n).ravel()
+        ref = _grid(kind, n).ravel()
+        assert np.array_equal(enc[:, None] == enc[None, :], ref[:, None] == ref[None, :])
 
 
 @given(kinds, st.integers(2, 20), st.data())
@@ -110,12 +136,6 @@ def test_solve_branches_partition_solutions(kind, n, data):
     prev = data.draw(st.integers(0, n - 1))
     fa = data.draw(st.integers(0, n - 1))
     fb = data.draw(st.integers(0, n - 1))
-    target = link_eval(kind, n, fa, fb)
-    found = []
-    for br in range(branch_count(kind)):
-        x, valid = solve_branch_grid(
-            kind, n, np.asarray(prev), np.asarray(fa), np.asarray(fb), br
-        )
-        if bool(np.asarray(valid)):
-            found.append(int(np.asarray(x)))
-    assert sorted(found) == sorted(link_solve(kind, n, prev, target))
+    found = _branch_solutions(kind, n, prev, fa, fb)
+    assert len(found) == len(set(found))
+    assert set(found) == _scan(kind, n, prev, fa, fb)

@@ -6,7 +6,7 @@ import pytest
 from oracles import JacobiConvergenceError, determinant_exact, jacobi_eigenvalues
 from patrm.linkfns import LinkKind
 from patrm.sampler import InputDistribution, sample_matrix, substream
-from patrm.spectra import Histogram, eigenvalues_symmetric, esd, sum_lsd_report
+from patrm.spectra import DEFAULT_SIZE_CAP, Histogram, eigenvalues_symmetric, esd, sum_lsd_report
 
 GAUSS = InputDistribution.GAUSSIAN
 
@@ -68,7 +68,7 @@ def test_rejects_asymmetric_and_oversized():
     with pytest.raises(ValueError):
         eigenvalues_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        eigenvalues_symmetric(np.eye(8), size_cap=4)
+        eigenvalues_symmetric(np.eye(DEFAULT_SIZE_CAP + 1))
 
 
 def test_moment_esd_agreement():
