@@ -20,10 +20,8 @@ from .algebra import (
     word_from_text,
 )
 from .freeness import (
-    enumerate_nc2,
     free_moment_prediction,
     freeness_report,
-    semicircle_moment,
     sigma_gamma_cycles,
 )
 from .limits import (
@@ -72,7 +70,6 @@ __all__ = [
     "drop_indices",
     "eigenvalues_symmetric",
     "empirical_trace_moment",
-    "enumerate_nc2",
     "enumerate_pair_matched_words",
     "esd",
     "free_moment_prediction",
@@ -83,7 +80,6 @@ __all__ = [
     "parse_monomial",
     "resolve_affine",
     "sample_matrix",
-    "semicircle_moment",
     "sigma_gamma_cycles",
     "sum_lsd_report",
     "word_from_text",

@@ -186,29 +186,28 @@ def enumerate_pair_matched_words(q: Monomial) -> list[ColoredWord]:
     if any(c % 2 for c in counts.values()):
         return []
 
+    colors, indices = q.colors, q.indices
     words: list[ColoredWord] = []
-    partner = [-1] * k
+    letters = [-1] * k
 
-    def rec():
-        i = next((p for p in range(k) if partner[p] == -1), None)
-        if i is None:
-            seen: dict[int, int] = {}
-            letters = []
-            for p in range(k):
-                if p not in seen:
-                    nxt = len(seen) // 2
-                    seen[p] = nxt
-                    seen[partner[p]] = nxt
-                letters.append(seen[p])
-            words.append(ColoredWord(tuple(letters), q.colors, q.indices))
+    def rec(i: int, lid: int):
+        # i is the first unmatched position; letters are numbered by their
+        # first position, so every word comes out canonical
+        if i == k:
+            words.append(ColoredWord(tuple(letters), colors, indices))
             return
+        letters[i] = lid
         for j in range(i + 1, k):
-            if partner[j] == -1 and keys[j] == keys[i]:
-                partner[i], partner[j] = j, i
-                rec()
-                partner[i] = partner[j] = -1
+            if letters[j] == -1 and keys[j] == keys[i]:
+                letters[j] = lid
+                nxt = i + 1
+                while nxt < k and letters[nxt] != -1:
+                    nxt += 1
+                rec(nxt, lid + 1)
+                letters[j] = -1
+        letters[i] = -1
 
-    rec()
+    rec(0, 0)
     return words
 
 

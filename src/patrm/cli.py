@@ -139,7 +139,7 @@ def cmd_pcw(args) -> int:
         "cases": len(limits.build_cases(w)) if w.is_color_consistent() else 0,
         "p": est.value,
         "stderr": est.stderr,
-        "method": est.method,
+        "method": args.method,
         **_run_meta(args),
     }
     print(_emit_json(payload))

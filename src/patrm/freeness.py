@@ -6,21 +6,21 @@ into guide letters alternating with blocks, sum over color-respecting
 non-crossing pair partitions of the guide letters, and multiply block
 limits (alpha) along the cycles of the partition composed with the full
 cycle.  Wigner copies play the semicircular role; the same machinery with
-another kind in that role quantifies *non*-freeness.  Multi-copy guide
-families use the colored partition filter; coverage beyond two copies is
+another kind in that role quantifies *non*-freeness.  The partitions are
+the Catalan pair-matched words of the guide letters, so multi-copy guide
+families only pair equal copy labels; coverage beyond two copies is
 numerical extrapolation, not a proved case.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import limits
-from .algebra import Monomial
+from .algebra import Monomial, enumerate_pair_matched_words, is_catalan, match_pairs
 from .linkfns import LinkKind
 from .sampler import (
     InputDistribution,
@@ -30,44 +30,10 @@ from .sampler import (
     trace_moment_samples,
 )
 
-PairPartition = tuple[tuple[int, int], ...]
 CyclePermutation = tuple[tuple[int, ...], ...]
 
 
-def enumerate_nc2(m: int) -> list[PairPartition]:
-    """All non-crossing perfect matchings of {1..m}; Catalan(m/2) of them."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m % 2:
-        return []
-    if m == 0:
-        return [()]
-
-    def rec(points: tuple[int, ...]) -> list[PairPartition]:
-        if not points:
-            return [()]
-        a = points[0]
-        out = []
-        for j in range(1, len(points), 2):
-            b = points[j]
-            inner = points[1:j]
-            outer = points[j + 1 :]
-            for pi in rec(inner):
-                for po in rec(outer):
-                    out.append(((a, b),) + pi + po)
-        return out
-
-    return [tuple(sorted(p)) for p in rec(tuple(range(1, m + 1)))]
-
-
-def filter_colored(partitions: Sequence[PairPartition], colors: Sequence[int]) -> list[PairPartition]:
-    """Keep partitions that only pair equal colors (copy labels)."""
-    return [
-        p for p in partitions if all(colors[a - 1] == colors[b - 1] for a, b in p)
-    ]
-
-
-def sigma_gamma_cycles(sigma: PairPartition, m: int) -> CyclePermutation:
+def sigma_gamma_cycles(sigma: Sequence[tuple[int, int]], m: int) -> CyclePermutation:
     """Cycles of r -> sigma(gamma(r)), gamma the full cycle (1 2 ... m).
 
     sigma acts as the involution swapping each pair.  For non-crossing
@@ -109,7 +75,6 @@ class AlternatingMonomial:
     last).
     """
 
-    guide_kind: LinkKind
     guide_indices: tuple[int, ...]
     blocks: tuple[tuple[tuple[LinkKind, int], ...], ...]
 
@@ -133,7 +98,7 @@ def alternating_decomposition(q: Monomial, guide_kind: LinkKind = LinkKind.WIGNE
             blocks.append(())
         else:
             blocks[-1] = blocks[-1] + ((kind, idx),)
-    return AlternatingMonomial(guide_kind, tuple(guide_indices), tuple(blocks))
+    return AlternatingMonomial(tuple(guide_indices), tuple(blocks))
 
 
 def free_moment_prediction(
@@ -146,16 +111,24 @@ def free_moment_prediction(
     """Mixed-moment value if the guide copies were a free semicircular family.
 
     Sum over color-respecting non-crossing pair partitions of the guide
-    positions; each partition contributes the product, over cycles of the
+    positions (the Catalan pair-matched words of the guide letters alone);
+    each partition contributes the product, over cycles of the
     partition composed with the full cycle, of the marginal of the
     concatenated blocks visited by that cycle: the Monte Carlo limit alpha
     of the block monomial, or 1 for an empty block.
     """
     alt = alternating_decomposition(q, guide_kind)
+    if alt.m % 2:
+        # no pairing exists; returning here keeps the many odd monomials of
+        # a sweep from building a guide monomial only to enumerate nothing
+        return 0.0
+    guide = Monomial(tuple((guide_kind, i) for i in alt.guide_indices))
     total = 0.0
-    for sigma in filter_colored(enumerate_nc2(alt.m), alt.guide_indices):
+    for w in enumerate_pair_matched_words(guide):
+        if not is_catalan(w):
+            continue
         prod = 1.0
-        for cycle in sigma_gamma_cycles(sigma, alt.m):
+        for cycle in sigma_gamma_cycles(match_pairs(w), alt.m):
             letters: tuple = ()
             for r in cycle:
                 letters = letters + alt.blocks[r - 1]
@@ -163,16 +136,6 @@ def free_moment_prediction(
                 prod *= limits.alpha(Monomial(letters), "mc", samples=samples, seed=seed)
         total += prod
     return total
-
-
-def semicircle_moment(k: int) -> float:
-    """k-th moment of the semicircle law: Catalan(k/2) for even k, else 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k % 2:
-        return 0.0
-    h = k // 2
-    return float(math.comb(2 * h, h) // (h + 1))
 
 
 @dataclass(frozen=True)
@@ -191,18 +154,7 @@ class FreenessReport:
     tol: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "alpha": self.alpha,
-            "alpha_stderr": self.alpha_stderr,
-            "free_prediction": self.free_prediction,
-            "empirical": self.empirical,
-            "empirical_sd": self.empirical_sd,
-            "deviation": self.deviation,
-            "empirical_deviation": self.empirical_deviation,
-            "free_within_tol": self.free_within_tol,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def freeness_report(

@@ -156,11 +156,10 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """A word-volume value with its uncertainty and provenance."""
+    """A word-volume value with its uncertainty."""
 
     value: float
     stderr: float
-    method: str  # "mc" | "exact"
 
 
 def _match_relations(w: ColoredWord) -> list[dict]:
@@ -221,14 +220,14 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not cs.identity_ok():
-        return VolumeEstimate(0.0, 0.0, "mc")
+        return VolumeEstimate(0.0, 0.0)
     forms = cs.inequality_forms()
     if not forms:
-        return VolumeEstimate(1.0, 0.0, "mc")
+        return VolumeEstimate(1.0, 0.0)
     for form in forms:
         lo, hi = form.value_interval()
         if hi <= 0 or lo >= 1:
-            return VolumeEstimate(0.0, 0.0, "mc")
+            return VolumeEstimate(0.0, 0.0)
     vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
     rng = np.random.default_rng(seed)
     hits = 0
@@ -244,7 +243,7 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
         remaining -= block
     p = hits / samples
     stderr = float(np.sqrt(p * (1.0 - p) / samples))
-    return VolumeEstimate(p, stderr, "mc")
+    return VolumeEstimate(p, stderr)
 
 
 def exact_count_work(w: ColoredWord, n: int) -> int:
@@ -333,24 +332,24 @@ def p_limit(
     surviving constraint systems.  method "exact": exact counts at two
     sizes n < 2n combined by Richardson extrapolation 2 f(2n) - f(n),
     with stderr |f(2n) - f(n)|; raises BudgetExceededError when the
-    count at 2n would exceed the work budget.
+    count at 2n would exceed the work budget.  Neither route clamps its
+    value into the feasible range: a value slightly outside it is
+    estimation error, reported as computed.
     """
     _check_method(method)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
     k = len(w) // 2
-    cap = float(max(DELTA[c] for c in set(w.colors)) ** k)
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
-        return VolumeEstimate(0.0, 0.0, method)
+        return VolumeEstimate(0.0, 0.0)
 
     if method == "exact":
         n1, n2 = _EXACT_SIZE_DEFAULTS.get(k, (16, 32))
         # the larger size first, so an over-budget request fails before counting
         f2 = count_circuits_exact(w, n2, budget=budget) / n2 ** (1 + k)
         f1 = count_circuits_exact(w, n1, budget=budget) / n1 ** (1 + k)
-        value = min(max(2.0 * f2 - f1, 0.0), cap)
-        return VolumeEstimate(value, abs(f2 - f1), "exact")
+        return VolumeEstimate(2.0 * f2 - f1, abs(f2 - f1))
 
     n_cases = math.prod(len(rel) for rel in _match_relations(w))
     if n_cases > budget:
@@ -371,8 +370,7 @@ def p_limit(
         est = case_volume_mc(cs, samples, seed_sequence(seed, idx))
         total += est.value
         var += est.stderr ** 2
-    value = min(max(total, 0.0), cap)
-    return VolumeEstimate(value, float(np.sqrt(var)), "mc")
+    return VolumeEstimate(total, float(np.sqrt(var)))
 
 
 def alpha_bound(q: Monomial) -> float:

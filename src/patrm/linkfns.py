@@ -49,36 +49,31 @@ DELTA = {
 }
 
 
-def encoded_lvalues(kind: LinkKind, n: int) -> np.ndarray:
-    """n x n int64 matrix of link values, injectively encoded per kind.
+def lvalue_key_grid(kind: LinkKind, n: int) -> tuple[int, np.ndarray]:
+    """(number of distinct storage slots, n x n int64 slot-index matrix).
 
-    Wigner pairs are packed as min*n + max.  Encodings are only comparable
-    within a single kind.
+    Two cells hold the same slot exactly when their link values are equal,
+    so a patterned matrix is a flat vector of independent draws indexed by
+    this grid.  Wigner pairs are ranked row by row over the upper triangle.
+    Slots are only comparable within a single kind.  Every slot in
+    0..size-1 occurs, so the size is the largest key plus one.
     """
     i = np.arange(n, dtype=np.int64)
     a, b = i[:, None], i[None, :]
     if kind is LinkKind.TOEPLITZ:
-        return np.abs(a - b)
-    if kind is LinkKind.HANKEL:
-        return a + b
-    if kind is LinkKind.REVERSE_CIRCULANT:
-        return (a + b) % n
-    if kind is LinkKind.SYMMETRIC_CIRCULANT:
-        d = np.abs(a - b) % n
-        return np.minimum(d, n - d)
-    return np.minimum(a, b) * n + np.maximum(a, b)
-
-
-def lvalue_key_grid(kind: LinkKind, n: int) -> tuple[int, np.ndarray]:
-    """(number of distinct storage slots, n x n slot-index matrix).
-
-    Used to fill a patterned matrix from a flat vector of independent
-    draws.  Wigner is excluded (its upper triangle is filled directly).
-    Every slot in 0..size-1 occurs, so the size is the largest key plus one.
-    """
-    if kind is LinkKind.WIGNER:
-        raise ValueError("Wigner entries are drawn per upper-triangle cell, not via a key grid")
-    keys = encoded_lvalues(kind, n)
+        keys = np.abs(a - b)
+    elif kind is LinkKind.HANKEL:
+        keys = a + b
+    elif kind is LinkKind.REVERSE_CIRCULANT:
+        keys = (a + b) % n
+    elif kind is LinkKind.SYMMETRIC_CIRCULANT:
+        d = np.abs(a - b)
+        keys = np.minimum(d, n - d)
+    else:
+        # the cell (r, c), r <= c, has rank start[r] + c; the transposed
+        # form start[c] + r is never smaller, so the minimum picks the rank
+        start = i * n - i * (i + 1) // 2
+        keys = np.minimum(start[:, None] + b, start[None, :] + a)
     return int(keys.max()) + 1, keys
 
 

@@ -51,8 +51,6 @@ class MomentEstimate:
     mean: float
     stddev: float
     reps: int
-    n: int
-    seed: int
 
 
 def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
@@ -77,17 +75,8 @@ def sample_matrix(
     """Unscaled n x n member: one input value per distinct link value."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind is LinkKind.WIGNER:
-        vals = dist.draw(rng, n * (n + 1) // 2)
-        entries = np.zeros((n, n))
-        iu = np.triu_indices(n)
-        entries[iu] = vals
-        entries[(iu[1], iu[0])] = vals
-    else:
-        size, keys = lvalue_key_grid(kind, n)
-        vals = dist.draw(rng, size)
-        entries = vals[keys]
-    return entries
+    size, keys = lvalue_key_grid(kind, n)
+    return dist.draw(rng, size)[keys]
 
 
 def trace_moment_samples(
@@ -135,4 +124,4 @@ def empirical_trace_moment(
     """Mean and sample standard deviation of the normalized trace moment."""
     vals = trace_moment_samples(q, n, dist, reps, seed)
     sd = float(vals.std(ddof=1)) if reps > 1 else 0.0
-    return MomentEstimate(float(vals.mean()), sd, reps, n, seed)
+    return MomentEstimate(float(vals.mean()), sd, reps)

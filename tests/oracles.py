@@ -127,13 +127,6 @@ def determinant_exact(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def semicircle_moment_quadrature(k: int, grid: int = 200001) -> float:
-    """k-th semicircle moment by trapezoid quadrature of t^k density on [-2, 2]."""
-    t = np.linspace(-2.0, 2.0, grid)
-    dens = np.sqrt(np.maximum(4.0 - t * t, 0.0)) / (2.0 * np.pi)
-    return float(np.trapezoid(t**k * dens, t))
-
-
 class JacobiConvergenceError(RuntimeError):
     """Sweep budget exhausted; carries the relative off-diagonal residual."""
 

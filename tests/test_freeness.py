@@ -5,24 +5,22 @@ from oracles import (
     catalan_number,
     matchings_bruteforce,
     noncrossing_matchings_bruteforce,
-    semicircle_moment_quadrature,
 )
 from patrm import limits
 from patrm.algebra import (
+    Monomial,
     all_monomials,
     drop_indices,
     enumerate_pair_matched_words,
+    is_catalan,
     match_pairs,
     parse_monomial,
 )
 from patrm.freeness import (
     alternating_decomposition,
     concentration_check,
-    enumerate_nc2,
-    filter_colored,
     free_moment_prediction,
     freeness_report,
-    semicircle_moment,
     sigma_gamma_cycles,
     trace_factorization_check,
 )
@@ -34,31 +32,36 @@ GAUSS = InputDistribution.GAUSSIAN
 W, T = LinkKind.WIGNER, LinkKind.TOEPLITZ
 
 
+def nc2(guide_indices):
+    """The pairings free_moment_prediction sums over: the Catalan
+    pair-matched words of the guide letters, as 1-based position pairs."""
+    guide = Monomial(tuple((W, i) for i in guide_indices))
+    return [tuple(match_pairs(w)) for w in enumerate_pair_matched_words(guide) if is_catalan(w)]
+
+
 def test_enumerate_nc2_examples():
-    assert enumerate_nc2(2) == [((1, 2),)]
-    assert len(enumerate_nc2(4)) == 2
-    assert enumerate_nc2(3) == []
-    assert enumerate_nc2(0) == [()]
+    assert nc2((1, 1)) == [((1, 2),)]
+    assert nc2((1, 1, 1, 1)) == [((1, 2), (3, 4)), ((1, 4), (2, 3))]
+    assert nc2((1, 1, 1)) == []
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_enumerate_nc2_matches_bruteforce(m):
-    got = {tuple(sorted(p)) for p in enumerate_nc2(m)}
-    want = {tuple(sorted(p)) for p in noncrossing_matchings_bruteforce(m)}
-    assert got == want
+    got = nc2((1,) * m)
+    assert set(got) == set(noncrossing_matchings_bruteforce(m))
     assert len(got) == catalan_number(m // 2)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
 def test_nc2_count_is_catalan(m):
-    assert len(enumerate_nc2(m)) == catalan_number(m // 2)
+    assert len(nc2((1,) * m)) == catalan_number(m // 2)
 
 
 def test_filter_colored_examples():
-    assert filter_colored(enumerate_nc2(2), (1, 2)) == []
-    assert len(filter_colored(enumerate_nc2(2), (1, 1))) == 1
-    kept = filter_colored(enumerate_nc2(4), (1, 2, 2, 1))
-    assert kept == [((1, 4), (2, 3))]
+    # two guide copies: only pairings of equal copy labels survive
+    assert nc2((1, 2)) == []
+    assert nc2((1, 1)) == [((1, 2),)]
+    assert nc2((1, 2, 2, 1)) == [((1, 4), (2, 3))]
 
 
 def test_sigma_gamma_examples():
@@ -76,16 +79,6 @@ def test_cycle_count_law(m):
         sigma = tuple((a + 1, b + 1) for a, b in match)
         cycles = sigma_gamma_cycles(sigma, m)
         assert (len(cycles) == 1 + m // 2) == (sigma in noncrossing)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
-def test_semicircle_moments_vs_quadrature(k):
-    assert semicircle_moment(k) == pytest.approx(semicircle_moment_quadrature(k), abs=1e-3)
-
-
-def test_semicircle_moment_validation():
-    with pytest.raises(ValueError):
-        semicircle_moment(-1)
 
 
 def test_alternating_decomposition():
@@ -147,7 +140,7 @@ def test_two_wigner_copies_prediction():
     alt = alternating_decomposition(q)
     assert alt.guide_indices == (1, 2, 2, 1)
     # only the nested partition respects the copy labels
-    assert filter_colored(enumerate_nc2(4), alt.guide_indices) == [((1, 4), (2, 3))]
+    assert nc2(alt.guide_indices) == [((1, 4), (2, 3))]
     pred = free_moment_prediction(q, samples=150000, seed=8)
     a, err = alpha_estimate(q, samples=150000, seed=8)
     assert abs(a - pred) <= 3 * err + 0.01

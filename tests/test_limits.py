@@ -160,7 +160,6 @@ def test_p_limit_mc_examples(word_text, mono, expected):
 def test_p_limit_exact_examples(word_text, mono, expected):
     est = p_limit(word(word_text, mono), "exact")
     assert est.value == pytest.approx(float(expected), abs=0.05)
-    assert est.method == "exact"
 
 
 def test_p_limit_methods_agree_on_catalan():

@@ -8,7 +8,7 @@ from patrm.linkfns import (
     ALL_KINDS,
     DELTA,
     LinkKind,
-    encoded_lvalues,
+    lvalue_key_grid,
     solve_branch_grid,
 )
 
@@ -36,11 +36,33 @@ def _scan(kind, n, prev, fa, fb):
     return {x for x in range(n) if grid[prev, x] == grid[fa, fb]}
 
 
+def _keys(kind, n):
+    return lvalue_key_grid(kind, n)[1]
+
+
 def test_eval_examples():
-    assert encoded_lvalues(LinkKind.TOEPLITZ, 5)[1, 3] == 2
-    assert encoded_lvalues(LinkKind.WIGNER, 5)[2, 0] == 0 * 5 + 2
-    assert encoded_lvalues(LinkKind.REVERSE_CIRCULANT, 6)[3, 4] == 1
-    assert encoded_lvalues(LinkKind.SYMMETRIC_CIRCULANT, 10)[0, 8] == 2
+    assert _keys(LinkKind.TOEPLITZ, 5)[1, 3] == 2
+    assert _keys(LinkKind.WIGNER, 5)[2, 0] == 2
+    assert _keys(LinkKind.REVERSE_CIRCULANT, 6)[3, 4] == 1
+    assert _keys(LinkKind.SYMMETRIC_CIRCULANT, 10)[0, 8] == 2
+
+
+# written out by hand from the link functions, independently of both the
+# package and oracles.lvalue_grid
+KEY_GRIDS_N4 = {
+    LinkKind.WIGNER: [[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]],
+    LinkKind.TOEPLITZ: [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+    LinkKind.HANKEL: [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6]],
+    LinkKind.REVERSE_CIRCULANT: [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+    LinkKind.SYMMETRIC_CIRCULANT: [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_key_grid_literal_n4(kind):
+    size, keys = lvalue_key_grid(kind, 4)
+    assert keys.tolist() == KEY_GRIDS_N4[kind]
+    assert size == max(map(max, KEY_GRIDS_N4[kind])) + 1
 
 
 def test_solve_examples():
@@ -57,7 +79,7 @@ def test_solve_examples():
 
 @given(kinds, st.integers(1, 64))
 def test_eval_symmetry(kind, n):
-    enc = encoded_lvalues(kind, n)
+    enc = _keys(kind, n)
     assert np.array_equal(enc, enc.T)
 
 
@@ -126,7 +148,7 @@ def test_property_p_bounded(kind):
 def test_encoded_lvalues_match_eval(kind):
     # equal encodings exactly where the oracle's link values are equal
     for n in (1, 2, 16, 17):
-        enc = encoded_lvalues(kind, n).ravel()
+        enc = _keys(kind, n).ravel()
         ref = _grid(kind, n).ravel()
         assert np.array_equal(enc[:, None] == enc[None, :], ref[:, None] == ref[None, :])
 

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
 import patrm
 
 
@@ -8,3 +13,39 @@ def test_star_import_and_all_names_resolve():
     assert missing == []
     assert all(getattr(patrm, name) is namespace[name] for name in patrm.__all__)
     assert len(set(patrm.__all__)) == len(patrm.__all__)
+
+
+def _load_tracing():
+    # the benchmark's tracer names the package callables it wraps; it is
+    # loaded read-only from its file, outside the package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# parameters the tracer reads by name from the calls it records
+TRACED_PARAMETERS = {
+    ("patrm.limits", "case_volume_mc"): ("cs", "samples"),
+    ("patrm.limits", "count_circuits_exact"): ("w", "n"),
+    ("patrm.sampler", "sample_matrix"): ("n",),
+    ("patrm.sampler", "trace_moment_samples"): ("q", "n", "reps"),
+    ("patrm.spectra", "eigenvalues_symmetric"): ("M",),
+}
+
+
+def test_benchmark_hooks_resolve():
+    for module_name, attr in _load_tracing().TRACED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        params = inspect.signature(owner).parameters
+        for name in TRACED_PARAMETERS.get((module_name, attr), ()):
+            assert name in params, (module_name, attr, name)
+    # names the benchmark's own tests patch or clear
+    from patrm import freeness, limits, linkfns, sampler, spectra
+
+    assert freeness.sample_matrix is spectra.sample_matrix is sampler.sample_matrix
+    assert limits.solve_branch_grid is linkfns.solve_branch_grid
+    assert isinstance(limits._P_CACHE, dict)

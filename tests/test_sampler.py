@@ -3,7 +3,7 @@ import pytest
 
 from patrm.algebra import parse_monomial
 from patrm.limits import alpha
-from patrm.linkfns import ALL_KINDS, LinkKind, encoded_lvalues, lvalue_key_grid
+from patrm.linkfns import ALL_KINDS, LinkKind, lvalue_key_grid
 from patrm.sampler import (
     InputDistribution,
     empirical_trace_moment,
@@ -30,17 +30,13 @@ def test_pattern_examples():
 def test_pattern_invariant_exhaustive(kind, n):
     m = sample_matrix(kind, n, GAUSS, substream(1, 0, kind, 1))
     assert np.array_equal(m, m.T)
-    keys = encoded_lvalues(kind, n)
-    flat_keys = keys.ravel()
-    flat_vals = m.ravel()
+    size, keys = lvalue_key_grid(kind, n)
     by_key = {}
-    for key, val in zip(flat_keys.tolist(), flat_vals.tolist()):
+    for key, val in zip(keys.ravel().tolist(), m.ravel().tolist()):
         by_key.setdefault(key, set()).add(val)
     assert all(len(vals) == 1 for vals in by_key.values())
-    if kind is not LinkKind.WIGNER:
-        # the slot encoding is dense: one draw per slot, every slot used
-        size, slots = lvalue_key_grid(kind, n)
-        assert np.array_equal(np.unique(slots), np.arange(size))
+    # the slot encoding is dense: one draw per slot, every slot used
+    assert np.array_equal(np.unique(keys), np.arange(size))
 
 
 def test_determinism_bit_for_bit():
