@@ -176,16 +176,10 @@ def enumerate_pair_matched_words(q: Monomial) -> list[ColoredWord]:
     cardinality.  Words come out in lexicographic order of their letter
     strings.
     """
+    if pairing_count_estimate(q) == 0:
+        return []
     k = len(q)
-    if k % 2:
-        return []
     keys = q.letters
-    counts: dict[tuple[LinkKind, int], int] = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    if any(c % 2 for c in counts.values()):
-        return []
-
     colors, indices = q.colors, q.indices
     words: list[ColoredWord] = []
     letters = [-1] * k

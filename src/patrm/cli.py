@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import __version__, limits
 from .algebra import (
+    is_catalan,
     pairing_count_estimate,
     parse_monomial,
     word_from_text,
@@ -135,8 +136,8 @@ def cmd_pcw(args) -> int:
     payload = {
         "monomial": str(q),
         "word": w.text,
-        "catalan": w.to_json_dict()["catalan"],
-        "cases": len(limits.build_cases(w)) if w.is_color_consistent() else 0,
+        "catalan": is_catalan(w),
+        "cases": limits.case_count(w) if w.is_color_consistent() else 0,
         "p": est.value,
         "stderr": est.stderr,
         "method": args.method,
@@ -166,7 +167,7 @@ def cmd_alpha(args) -> int:
 
 def cmd_moments(args) -> int:
     q = parse_monomial(args.q)
-    dist = InputDistribution.from_name(args.dist)
+    dist = InputDistribution(args.dist)
     est = empirical_trace_moment(q, args.n, dist, args.reps, args.seed)
     alpha_limit: Optional[float] = None
     try:
@@ -192,7 +193,7 @@ def cmd_moments(args) -> int:
 def cmd_lsd(args) -> int:
     kind_a = LinkKind.from_char(args.a)
     kind_b = LinkKind.from_char(args.b)
-    dist = InputDistribution.from_name(args.dist)
+    dist = InputDistribution(args.dist)
     report = sum_lsd_report(
         kind_a, kind_b, args.n, dist, args.reps, kmax=args.kmax, bins=args.bins, seed=args.seed
     )
@@ -217,7 +218,7 @@ def cmd_lsd(args) -> int:
 
 def cmd_freeness(args) -> int:
     q = parse_monomial(args.q)
-    dist = InputDistribution.from_name(args.dist)
+    dist = InputDistribution(args.dist)
     report = freeness_report(
         q,
         n=args.n,

@@ -26,7 +26,7 @@ from .sampler import (
     InputDistribution,
     empirical_trace_moment,
     sample_matrix,
-    seed_sequence,
+    substream,
     trace_moment_samples,
 )
 
@@ -118,9 +118,10 @@ def free_moment_prediction(
     of the block monomial, or 1 for an empty block.
     """
     alt = alternating_decomposition(q, guide_kind)
-    if alt.m % 2:
-        # no pairing exists; returning here keeps the many odd monomials of
-        # a sweep from building a guide monomial only to enumerate nothing
+    if alt.m % 2 or len(q) % 2:
+        # an odd guide count admits no pairing; an odd length leaves an odd
+        # block in every cycle product, whose alpha is 0.  Returning here
+        # keeps a sweep's many odd monomials from enumerating pairings.
         return 0.0
     guide = Monomial(tuple((guide_kind, i) for i in alt.guide_indices))
     total = 0.0
@@ -216,8 +217,7 @@ def trace_factorization_check(
     for n in n_list:
         per_power = np.empty((reps, len(powers)))
         for rep in range(reps):
-            rng = np.random.default_rng(seed_sequence(seed, n, rep))
-            x = sample_matrix(kind, n, dist, rng)
+            x = sample_matrix(kind, n, dist, substream(seed, rep, kind, 1))
             acc = np.eye(n)
             traces = {}
             kmax = max(powers)

@@ -35,7 +35,7 @@ from .algebra import (
     pairing_count_estimate,
 )
 from .linkfns import DELTA, LinkKind, solve_branch_grid
-from .sampler import seed_sequence
+from .sampler import seed_mod64, seed_sequence
 
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 5_000_000_000
@@ -114,20 +114,22 @@ class ConstraintSystem:
 
     gen_positions lists the generating vertices (position 0 plus first
     occurrences).  dep_forms gives, for every other position, its affine
-    form over the generating coordinates; equalities are the extra Wigner
-    identifications; closure pairs the form of the final vertex with the
-    coordinate form of vertex 0.
+    form over the generating coordinates; the last one is the final
+    vertex, which closes the circuit on vertex 0.  equalities are the
+    extra Wigner identifications.
     """
 
-    dim: int
     gen_positions: tuple[int, ...]
     dep_forms: tuple[tuple[int, AffineForm], ...]
     equalities: tuple[tuple[AffineForm, AffineForm], ...]
-    closure: tuple[AffineForm, AffineForm]
+
+    @property
+    def dim(self) -> int:
+        return len(self.gen_positions)
 
     def identity_ok(self) -> bool:
         """True when closure and all equalities hold as exact form identities."""
-        if self.closure[0] != self.closure[1]:
+        if self.dep_forms[-1][1].bare_coordinate() != 0:
             return False
         return all(a == b for a, b in self.equalities)
 
@@ -137,15 +139,7 @@ class ConstraintSystem:
         Bare generating coordinates are already uniform on [0,1) and are
         skipped; the final vertex is pinned to v0 by the closure identity.
         """
-        last = max(pos for pos, _ in self.dep_forms) if self.dep_forms else -1
-        out = []
-        for pos, form in self.dep_forms:
-            if pos == last:
-                continue
-            if form.bare_coordinate() is not None:
-                continue
-            out.append(form)
-        return out
+        return [f for _, f in self.dep_forms[:-1] if f.bare_coordinate() is None]
 
     def canonical_key(self):
         eq_key = sorted(
@@ -154,17 +148,30 @@ class ConstraintSystem:
         return (self.gen_positions, self.dep_forms, tuple(eq_key))
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
+class VolumeEstimate(NamedTuple):
     """A word-volume value with its uncertainty."""
 
     value: float
     stderr: float
 
 
+def _sum_estimates(estimates) -> VolumeEstimate:
+    """Sum of independent estimates: values add, variances add."""
+    total, var = 0.0, 0.0
+    for est in estimates:
+        total += est.value
+        var += est.stderr ** 2
+    return VolumeEstimate(total, float(np.sqrt(var)))
+
+
 def _match_relations(w: ColoredWord) -> list[dict]:
     """Relation table of every match, in match_pairs order."""
     return [_CASE_RELATIONS[w.colors[f - 1]] for f, _ in match_pairs(w)]
+
+
+def case_count(w: ColoredWord) -> int:
+    """Number of case labels of the word: the product of per-match relation counts."""
+    return math.prod(len(rel) for rel in _match_relations(w))
 
 
 def build_cases(w: ColoredWord) -> list[CaseLabel]:
@@ -206,8 +213,7 @@ def resolve_affine(w: ColoredWord, case: CaseLabel) -> ConstraintSystem:
         forms[pos] = form
         dep.append((pos, form))
 
-    closure = (forms[length], forms[0])
-    return ConstraintSystem(dim, gen_positions, tuple(dep), tuple(equalities), closure)
+    return ConstraintSystem(gen_positions, tuple(dep), tuple(equalities))
 
 
 def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
@@ -314,6 +320,13 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
+def _word_seed(master: int, w: ColoredWord) -> int:
+    # the tag names the word, so its volume does not depend on which
+    # monomial or enumeration order reached it
+    tag = f"{master}|{w.letters}|{w.color_text}|{w.indices}".encode()
+    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
+
+
 # Richardson sizes (n, 2n) of the exact route, per number of matches
 _EXACT_SIZE_DEFAULTS = {1: (40, 80), 2: (40, 80), 3: (24, 48)}
 
@@ -329,7 +342,8 @@ def p_limit(
     """Limiting normalized circuit count of a pair-matched word.
 
     method "mc": sum of Monte-Carlo case volumes over deduplicated
-    surviving constraint systems.  method "exact": exact counts at two
+    surviving constraint systems, drawn from a stream derived from the
+    seed (mod 2^64) and the word without its copy indices.  method "exact": exact counts at two
     sizes n < 2n combined by Richardson extrapolation 2 f(2n) - f(n),
     with stderr |f(2n) - f(n)|; raises BudgetExceededError when the
     count at 2n would exceed the work budget.  Neither route clamps its
@@ -351,7 +365,7 @@ def p_limit(
         f1 = count_circuits_exact(w, n1, budget=budget) / n1 ** (1 + k)
         return VolumeEstimate(2.0 * f2 - f1, abs(f2 - f1))
 
-    n_cases = math.prod(len(rel) for rel in _match_relations(w))
+    n_cases = case_count(w)
     if n_cases > budget:
         raise BudgetExceededError(f"word has {n_cases} affine cases, budget is {budget:.2e}")
     systems = []
@@ -365,12 +379,11 @@ def p_limit(
             continue
         seen.add(key)
         systems.append(cs)
-    total, var = 0.0, 0.0
-    for idx, cs in enumerate(systems):
-        est = case_volume_mc(cs, samples, seed_sequence(seed, idx))
-        total += est.value
-        var += est.stderr ** 2
-    return VolumeEstimate(total, float(np.sqrt(var)))
+    word_seed = _word_seed(seed_mod64(seed), drop_indices(w))
+    return _sum_estimates(
+        case_volume_mc(cs, samples, seed_sequence(word_seed, idx))
+        for idx, cs in enumerate(systems)
+    )
 
 
 def alpha_bound(q: Monomial) -> float:
@@ -396,11 +409,6 @@ def alpha_bound(q: Monomial) -> float:
 _P_CACHE: dict = {}
 
 
-def _word_seed(master: int, w: ColoredWord) -> int:
-    tag = f"{master}|{w.letters}|{w.color_text}|{w.indices}".encode()
-    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
-
-
 def p_limit_cached(
     w: ColoredWord,
     method: str = "mc",
@@ -409,16 +417,10 @@ def p_limit_cached(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> VolumeEstimate:
-    """p_limit memoized on the word, with per-word derived seeds.
-
-    The derived seed makes results independent of enumeration order, so
-    sweeps over many monomials can share work across repeated words.
-    """
+    """p_limit memoized on the word and its arguments; same value, computed once."""
     key = (w.letters, w.colors, w.indices, method, samples, seed, budget)
     if key not in _P_CACHE:
-        _P_CACHE[key] = p_limit(
-            w, method, samples=samples, seed=_word_seed(seed, w), budget=budget
-        )
+        _P_CACHE[key] = p_limit(w, method, samples=samples, seed=seed, budget=budget)
     return _P_CACHE[key]
 
 
@@ -429,6 +431,8 @@ def pair_matched_words(q: Monomial, budget: int) -> list[ColoredWord]:
     BudgetExceededError before any word is enumerated.
     """
     est_words = pairing_count_estimate(q)
+    if est_words == 0:
+        return []
     if est_words * len(q) > budget:
         raise BudgetExceededError(
             f"monomial has ~{est_words:.2e} pair-matched words, budget is {budget:.2e}"
@@ -443,17 +447,13 @@ def alpha_estimate(
     samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[float, float]:
+) -> VolumeEstimate:
     """(value, stderr) of the limiting expected normalized trace moment."""
     _check_method(method)
-    total, var = 0.0, 0.0
-    for w in pair_matched_words(q, budget):
-        est = p_limit_cached(
-            drop_indices(w), method, samples=samples, seed=seed, budget=budget
-        )
-        total += est.value
-        var += est.stderr ** 2
-    return total, float(np.sqrt(var))
+    return _sum_estimates(
+        p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget)
+        for w in pair_matched_words(q, budget)
+    )
 
 
 def alpha(
@@ -469,4 +469,4 @@ def alpha(
     The sum of word volumes over all index-respecting pair matchings;
     exactly zero when no such matching exists.
     """
-    return alpha_estimate(q, method, samples=samples, seed=seed, budget=budget)[0]
+    return alpha_estimate(q, method, samples=samples, seed=seed, budget=budget).value

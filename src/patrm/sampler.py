@@ -36,13 +36,6 @@ class InputDistribution(enum.Enum):
             return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
         return rng.uniform(-_SQRT3, _SQRT3, size=size)
 
-    @classmethod
-    def from_name(cls, name: str) -> "InputDistribution":
-        for d in cls:
-            if d.value == name.lower():
-                return d
-        raise ValueError(f"unknown input distribution {name!r}")
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -53,12 +46,14 @@ class MomentEstimate:
     reps: int
 
 
-def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
-    """SeedSequence of the master seed taken mod 2^64, followed by key.
+def seed_mod64(master_seed: int) -> int:
+    """The master seed taken mod 2^64: -1 and 2^64 - 1 give the same streams."""
+    return master_seed & ((1 << 64) - 1)
 
-    Negative seeds alias mod 2^64: -1 and 2^64 - 1 give the same streams.
-    """
-    return np.random.SeedSequence([master_seed & ((1 << 64) - 1), *key])
+
+def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
+    """SeedSequence of the master seed taken mod 2^64, followed by key."""
+    return np.random.SeedSequence([seed_mod64(master_seed), *key])
 
 
 def substream(master_seed: int, replicate: int, kind: LinkKind, index: int) -> np.random.Generator:

@@ -17,6 +17,7 @@ from .sampler import InputDistribution, sample_matrix, substream
 
 DEFAULT_SIZE_CAP = 1200
 DEFAULT_BINS = 50
+ESD_PADDING = 0.01
 # relative asymmetry, against the largest entry, that an input may carry
 _SYMMETRY_TOL = 1e-10
 
@@ -61,11 +62,10 @@ class Histogram:
 def esd(
     values: Union[np.ndarray, Sequence[float]],
     bins: int = DEFAULT_BINS,
-    padding: float = 0.01,
 ) -> Histogram:
     """Empirical spectral distribution of eigenvalues as a density histogram.
 
-    Bins span [min, max], widened on each side by padding times the span.
+    Bins span [min, max], widened on each side by ESD_PADDING times the span.
     """
     arr = np.asarray(values, dtype=float)
     if bins < 1:
@@ -75,7 +75,7 @@ def esd(
     if span == 0.0:
         lo, hi = lo - 0.5, hi + 0.5
     else:
-        lo, hi = lo - padding * span, hi + padding * span
+        lo, hi = lo - ESD_PADDING * span, hi + ESD_PADDING * span
     counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
     total = int(counts.sum())
     widths = np.diff(edges)

@@ -140,6 +140,27 @@ def test_determinism_byte_identical(capsys):
     assert out3 != out1
 
 
+def test_pcw_and_alpha_agree_on_a_single_word_monomial(capsys):
+    # abab is the only pair-matched word of T1 T2 T1 T2, so its volume is
+    # the monomial's limit, from either command
+    _, pcw_out, _ = run(capsys, "pcw", "--q", "T1 T2 T1 T2", "--word", "abab", "--samples", "20000")
+    _, alpha_out, _ = run(capsys, "alpha", "--q", "T1T2T1T2", "--samples", "20000")
+    pcw, alpha = json.loads(pcw_out), json.loads(alpha_out)
+    assert alpha["words"] == 1
+    assert (pcw["p"], pcw["stderr"]) == (alpha["alpha"], alpha["stderr"])
+
+
+def test_negative_seed_aliases_mod_2_64(capsys):
+    argv = ("alpha", "--q", "THTH", "--samples", "2000")
+    neg = run(capsys, *argv, "--seed", "-1")
+    big = run(capsys, *argv, "--seed", str(2**64 - 1))
+    assert neg[0] == big[0] == EXIT_OK
+    assert neg[2] == big[2]
+    neg_payload, big_payload = json.loads(neg[1]), json.loads(big[1])
+    assert (neg_payload.pop("seed"), big_payload.pop("seed")) == (-1, 2**64 - 1)
+    assert neg_payload == big_payload
+
+
 def test_json_roundtrip_17_digits(capsys):
     _, out, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--samples", "50000")
     payload = json.loads(out)

@@ -100,6 +100,16 @@ def test_prediction_examples():
     assert free_moment_prediction(parse_monomial("WWWW"), **mc) == pytest.approx(2.0)
 
 
+def test_prediction_of_odd_monomial_needs_no_block_limit(monkeypatch):
+    # an even number of guide letters, but the odd T block vanishes in every
+    # cycle product, so no block limit is evaluated
+    def no_alpha(*args, **kwargs):
+        raise AssertionError("evaluated a block limit of an odd monomial")
+
+    monkeypatch.setattr(limits, "alpha", no_alpha)
+    assert free_moment_prediction(parse_monomial("WWT")) == 0.0
+
+
 def test_prediction_with_non_wigner_guide_detects_dependence():
     # Toeplitz in the semicircular role: the independent-product prediction
     # is 0, while the true limit moment is 2/3

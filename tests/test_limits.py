@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import circuit_count_bruteforce
+from patrm import limits
 from patrm.algebra import (
     Monomial,
     cyclic_rotate,
@@ -20,12 +21,16 @@ from patrm.limits import (
     alpha_bound,
     alpha_estimate,
     build_cases,
+    case_count,
     case_volume_mc,
     count_circuits_exact,
     p_limit,
+    p_limit_cached,
+    pair_matched_words,
     resolve_affine,
 )
 from patrm.linkfns import ALL_KINDS, DELTA, LinkKind
+from patrm.reference_tables import ALL_ROWS
 
 T = LinkKind.TOEPLITZ
 
@@ -294,6 +299,7 @@ def test_case_engine_golden_counts(mono):
     got = {}
     for w in enumerate_pair_matched_words(parse_monomial(mono)):
         cases = build_cases(w)
+        assert case_count(w) == len(cases)
         systems = [resolve_affine(w, c) for c in cases]
         alive = [cs for cs in systems if cs.identity_ok()]
         got[w.text] = (len(cases), len(alive), len({cs.canonical_key() for cs in alive}))
@@ -308,8 +314,6 @@ def test_case_product_charged_against_budget():
 
 
 def test_cached_volume_distinguishes_copy_indices():
-    from patrm.limits import p_limit_cached
-
     # same letters and colors, different copy structure: abba pairs the two
     # Wigner copies when indices are uniform (volume 1) but crosses copies
     # under the 1-1-2-2 assignment (no qualifying circuit at all)
@@ -335,3 +339,20 @@ def test_dedup_never_merges_distinct_positive_cases():
                 key = cs.canonical_key()
                 assert key not in keys
                 keys.add(key)
+
+
+def test_cached_volume_equals_uncached_on_reference_rows():
+    # the memo only stores p_limit's value: the word's stream comes from
+    # p_limit itself, whichever entry point is called
+    for row in ALL_ROWS:
+        w = word(row.word, row.monomial)
+        direct = p_limit(w, "mc", samples=2000, seed=1)
+        assert p_limit_cached(w, "mc", samples=2000, seed=1) == direct, (row.monomial, row.word)
+
+
+def test_pair_matched_words_skips_enumeration_at_zero_count(monkeypatch):
+    def no_enumeration(q):
+        raise AssertionError("enumerated a monomial without pair-matched words")
+
+    monkeypatch.setattr(limits, "enumerate_pair_matched_words", no_enumeration)
+    assert pair_matched_words(parse_monomial("THT"), budget=10) == []

@@ -84,9 +84,11 @@ def test_moment_esd_agreement():
 
 
 def test_esd_examples():
-    h = esd(np.array([-1.0, -1.0, 1.0, 1.0]), bins=2, padding=0.0)
+    # bins widen by 1 % of the span on each side: [-1.02, 0) and [0, 1.02)
+    h = esd(np.array([-1.0, -1.0, 1.0, 1.0]), bins=2)
     widths = np.diff(h.edges)
-    assert np.allclose(h.density, [0.5, 0.5])
+    assert np.allclose(h.edges, [-1.02, 0.0, 1.02])
+    assert np.allclose(h.density, [0.5 / 1.02, 0.5 / 1.02])
     assert (h.density * widths).sum() == pytest.approx(1.0, abs=1e-12)
     assert h.total == 4
 
