@@ -305,7 +305,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except limits.BudgetExceededError as exc:
         print(f"patrm: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NonFiniteOutputError as exc:
+    except ArithmeticError as exc:
         print(f"patrm: numerical check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

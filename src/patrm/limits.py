@@ -5,9 +5,9 @@ per match, a finite union of affine-linear cases (sign choices for
 Toeplitz, wrap offsets for the circulants, endpoint identifications for
 Wigner).  Within one case every dependent vertex is an affine form with
 integer coefficients over the generating vertices; the normalized count
-then converges to the volume of a box slice, which this module evaluates
-by Monte Carlo, and cross-checks against exact circuit counts at finite
-size.
+then converges to the volume of a box slice.  A word's volume is the
+sum over its surviving cases, evaluated by Monte Carlo, or exactly as
+the leading coefficient of the circuit count, a polynomial in odd n.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -327,10 +327,6 @@ def _word_seed(master: int, w: ColoredWord) -> int:
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
-# Richardson sizes (n, 2n) of the exact route, per number of matches
-_EXACT_SIZE_DEFAULTS = {1: (40, 80), 2: (40, 80), 3: (24, 48)}
-
-
 def p_limit(
     w: ColoredWord,
     method: str = "mc",
@@ -341,14 +337,14 @@ def p_limit(
 ) -> VolumeEstimate:
     """Limiting normalized circuit count of a pair-matched word.
 
-    method "mc": sum of Monte-Carlo case volumes over deduplicated
-    surviving constraint systems, drawn from a stream derived from the
-    seed (mod 2^64) and the word without its copy indices.  method "exact": exact counts at two
-    sizes n < 2n combined by Richardson extrapolation 2 f(2n) - f(n),
-    with stderr |f(2n) - f(n)|; raises BudgetExceededError when the
-    count at 2n would exceed the work budget.  Neither route clamps its
-    value into the feasible range: a value slightly outside it is
-    estimation error, reported as computed.
+    Zero when no deduplicated constraint system survives.  "mc": sum of
+    Monte-Carlo volumes of the surviving systems, drawn from a stream
+    derived from the seed (mod 2^64) and the word without copy indices.
+    "exact": over odd n the circuit count is a polynomial of degree
+    <= k+1 whose leading coefficient is the volume, read with stderr 0
+    off the finite differences of exact counts at n = 2k+5, 2k+3, ..., 1;
+    the spare point checks the fit (ArithmeticError if not), and the
+    largest count comes first, so an over-budget request fails at once.
     """
     _check_method(method)
     if not w.is_pair_matched():
@@ -357,13 +353,6 @@ def p_limit(
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
         return VolumeEstimate(0.0, 0.0)
-
-    if method == "exact":
-        n1, n2 = _EXACT_SIZE_DEFAULTS.get(k, (16, 32))
-        # the larger size first, so an over-budget request fails before counting
-        f2 = count_circuits_exact(w, n2, budget=budget) / n2 ** (1 + k)
-        f1 = count_circuits_exact(w, n1, budget=budget) / n1 ** (1 + k)
-        return VolumeEstimate(2.0 * f2 - f1, abs(f2 - f1))
 
     n_cases = case_count(w)
     if n_cases > budget:
@@ -379,6 +368,17 @@ def p_limit(
             continue
         seen.add(key)
         systems.append(cs)
+    if not systems:
+        return VolumeEstimate(0.0, 0.0)
+    if method == "exact":
+        diffs = [count_circuits_exact(w, n, budget=budget) for n in range(2 * k + 5, 0, -2)]
+        for _ in range(k + 1):
+            diffs = [a - b for a, b in zip(diffs, diffs[1:])]
+        if diffs[0] != diffs[1]:
+            raise ArithmeticError(f"circuit counts of {w.text} are not a degree-{k + 1} polynomial in odd n")
+        # the (k+1)-th difference at step 2 is (k+1)! 2^(k+1) times the leading coefficient
+        return VolumeEstimate(diffs[0] / (math.factorial(k + 1) * 2 ** (k + 1)), 0.0)
+
     word_seed = _word_seed(seed_mod64(seed), drop_indices(w))
     return _sum_estimates(
         case_volume_mc(cs, samples, seed_sequence(word_seed, idx))

@@ -4,10 +4,10 @@ Each row is (monomial, word, published limit).  Two cells of the H/S
 table disagree with the machinery that produced the rest: for HHHSHS the
 two color-consistent words aabcbc and abbcac have limit 2/3 — the single
 circulant match is automatically satisfied by the two Hankel constraints
-plus circuit closure, and exact counts at n = 24/48/96 as well as direct
-trace simulation of the whole monomial confirm it — while the source
-prints 1/2.  Those rows carry the verified value alongside the published
-one; consumers decide which to compare against.
+plus circuit closure, exact counts at odd n = 1..11 fit a polynomial with
+leading coefficient 2/3, and direct trace simulation of the whole
+monomial confirms it — while the source prints 1/2.  Those rows carry the
+verified value beside the published one; consumers choose which to use.
 """
 
 from __future__ import annotations

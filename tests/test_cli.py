@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patrm import __version__, spectra
+from patrm import __version__, limits, spectra
 from patrm.algebra import enumerate_pair_matched_words, parse_monomial
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from patrm.reference_tables import ALL_ROWS
@@ -70,6 +70,15 @@ def test_tables_flags_known_discrepancies(capsys):
         if row["monomial"] == "HHHSHS" and row["word"] in ("aabcbc", "abbcac"):
             continue
         assert float(row["abs_err"]) <= 0.02
+
+
+def test_tables_exact_prints_true_volumes(capsys):
+    code, out, err = run(capsys, "tables", "--method", "exact")
+    assert code == EXIT_NUMERIC  # the two defective published cells
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["p_computed"] for row in rows] == [format(float(ref.p_true), ".17g") for ref in ALL_ROWS]
+    flagged = {line.split("(")[1].split(")")[0] for line in err.strip().splitlines()}
+    assert flagged == {"HHHSHS, aabcbc", "HHHSHS, abbcac"}
 
 
 def test_moments_embeds_config(capsys):
@@ -186,9 +195,9 @@ def test_usage_errors_exit_one(capsys):
         pytest.param(["alpha", "--q", "W" * 30, "--budget", "1000"], id="alpha"),
         pytest.param(["words", "--q", "W" * 30, "--budget", "1000"], id="words"),
         # an exact count over budget fails; it does not fall back to mc
-        pytest.param(["alpha", "--q", "TTTT", "--method", "exact", "--budget", "10000"], id="alpha-exact"),
+        pytest.param(["alpha", "--q", "TTTT", "--method", "exact", "--budget", "1000"], id="alpha-exact"),
         pytest.param(
-            ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "10000"], id="pcw-exact"
+            ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "1000"], id="pcw-exact"
         ),
     ],
 )
@@ -203,6 +212,14 @@ def test_case_product_budget_exit_three(capsys):
     code, out, err = run(capsys, "alpha", "--q", "SSSSSS", "--budget", "100")
     assert code == EXIT_BUDGET
     assert out == "" and "216 affine cases" in err
+
+
+def test_failed_exact_check_exits_two(capsys, monkeypatch):
+    # counts that are no polynomial in n fail the exact route's fit check
+    monkeypatch.setattr(limits, "count_circuits_exact", lambda w, n, *, budget: 2**n)
+    code, out, err = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--method", "exact")
+    assert code == EXIT_NUMERIC
+    assert out == "" and "numerical check failed" in err
 
 
 def test_non_finite_report_exits_two(capsys):

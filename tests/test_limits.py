@@ -164,7 +164,52 @@ def test_p_limit_mc_examples(word_text, mono, expected):
 @pytest.mark.parametrize("word_text,mono,expected", TABLE_EXAMPLES)
 def test_p_limit_exact_examples(word_text, mono, expected):
     est = p_limit(word(word_text, mono), "exact")
-    assert est.value == pytest.approx(float(expected), abs=0.05)
+    assert est.value == float(expected)
+    assert est.stderr == 0.0
+
+
+@pytest.mark.parametrize("word_text,mono", [("abcdbcda", "RRRRRRRR"), ("abbacddc", "TTTTHHHH")])
+def test_p_limit_exact_full_volume_words(word_text, mono):
+    assert p_limit(word(word_text, mono), "exact") == (1.0, 0.0)
+
+
+def test_exact_counts_odd_sizes_largest_first(monkeypatch):
+    sizes = []
+
+    def recording(w, n, *, budget):
+        sizes.append(n)
+        return count_circuits_exact(w, n, budget=budget)
+
+    monkeypatch.setattr(limits, "count_circuits_exact", recording)
+    assert p_limit(word("abcabc", "RRHRRH"), "exact").value == 2 / 3
+    assert sizes == [11, 9, 7, 5, 3, 1]
+
+
+def test_exact_word_without_surviving_system_is_zero_uncounted(monkeypatch):
+    # over odd n this word's counts are not a polynomial; its volume is
+    # zero because no constraint system survives, decided before counting
+    def no_counting(w, n, *, budget):
+        raise AssertionError("counted circuits of a word without surviving systems")
+
+    monkeypatch.setattr(limits, "count_circuits_exact", no_counting)
+    assert p_limit(word("abcabcdd", "WTTWTTSS"), "exact") == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "mono,expected",
+    [
+        ("TTTT", Fraction(8, 3)),
+        ("TTTTTT", Fraction(11)),
+        ("HHHHHH", Fraction(11, 2)),
+        ("RRRRRR", Fraction(6)),
+        ("SSSSSS", Fraction(15)),
+        ("WWWWWW", Fraction(5)),
+        ("THTHTHTH", Fraction(13, 5)),
+    ],
+)
+def test_exact_marginal_moments(mono, expected):
+    # word volumes are exact; their float sum is not
+    assert alpha(parse_monomial(mono), "exact") == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_p_limit_methods_agree_on_catalan():
