@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -250,20 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", parents=[common], help="reference word-volume tables as CSV")
     p.add_argument("--method", choices=limits.METHODS, default="mc")
-    p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("pcw", parents=[common], help="limit volume of one word")
     p.add_argument("--q", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--method", choices=limits.METHODS, default="mc")
-    p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_pcw)
 
     p = sub.add_parser("alpha", parents=[common], help="limiting trace moment of a monomial")
     p.add_argument("--q", required=True)
     p.add_argument("--method", choices=limits.METHODS, default="mc")
-    p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("moments", parents=[common], help="simulated trace moment of a monomial")
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
-    p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("lsd", parents=[common], help="spectral report for a scaled sum of two ensembles")
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.03)
     p.add_argument("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
-    p.add_argument("--samples", type=int, default=limits.DEFAULT_MC_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
     p.set_defaults(func=cmd_freeness)
 
     return parser

@@ -5,9 +5,12 @@ per match, a finite union of affine-linear cases (sign choices for
 Toeplitz, wrap offsets for the circulants, endpoint identifications for
 Wigner).  Within one case every dependent vertex is an affine form with
 integer coefficients over the generating vertices; the normalized count
-then converges to the volume of a box slice.  A word's volume is the
-sum over its surviving cases, evaluated by Monte Carlo, or exactly as
-the leading coefficient of the circuit count, a polynomial in odd n.
+then converges to the volume of a box slice.  All cases of a word are
+resolved by one walk over its positions: each match branches over its
+labels at its second occurrence, so cases sharing a prefix of matches
+share that prefix's forms.  A word's volume is the sum over its
+surviving cases, evaluated by Monte Carlo, or exactly as the leading
+coefficient of the circuit count, a polynomial in odd n.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -103,7 +106,7 @@ def _combine(weights, forms, shift: int) -> AffineForm:
     """The form sum(w * f for w, f in zip(weights, forms)) + shift."""
     (a, b, c), (x, y, z) = weights, forms
     return AffineForm(
-        tuple(a * p + b * q + c * r for p, q, r in zip(x.coeffs, y.coeffs, z.coeffs)),
+        tuple([a * p + b * q + c * r for p, q, r in zip(x.coeffs, y.coeffs, z.coeffs)]),
         a * x.const + b * y.const + c * z.const + shift,
     )
 
@@ -179,41 +182,44 @@ def build_cases(w: ColoredWord) -> list[CaseLabel]:
     return list(itertools.product(*_match_relations(w)))
 
 
-def resolve_affine(w: ColoredWord, case: CaseLabel) -> ConstraintSystem:
-    """Affine system of one case: walk positions, emitting dependent forms.
+def resolve_affine(w: ColoredWord, cases) -> list[ConstraintSystem]:
+    """Affine systems of the given case labels, in their order, from one walk.
 
-    At a second occurrence s matched to first occurrence f the new vertex
-    v_s is determined from v_{s-1}, v_{f-1}, v_f by the case's relation.
-    A Wigner case also pins v_{s-1}: the unordered edges {v_{s-1}, v_s}
-    and {v_{f-1}, v_f} coincide, so v_{s-1} = v_{f-1} + v_f - v_s.
+    The second occurrences are taken in position order, and each extends
+    every label prefix built so far by each label of its match, so a
+    prefix's forms are computed once for all the cases that share it.  A
+    first occurrence is a generating coordinate.  At a second occurrence
+    s matched to first occurrence f, v_s is determined from v_{s-1},
+    v_{f-1}, v_f by the label's relation.  A Wigner label also pins
+    v_{s-1}: the unordered edges {v_{s-1}, v_s} and {v_{f-1}, v_f}
+    coincide, so v_{s-1} = v_{f-1} + v_f - v_s.
     """
     pairs = match_pairs(w)
-    length = len(w)
-    first_of = {s: f for f, s in pairs}
-    case_of = {s: case[idx] for idx, (f, s) in enumerate(pairs)}
+    relations = _match_relations(w)
     gen_positions = tuple([0] + [f for f, _ in pairs])
-    dim = len(gen_positions)
-    slot = {pos: i for i, pos in enumerate(gen_positions)}
-
-    forms: dict[int, AffineForm] = {0: _coordinate(0, dim)}
-    equalities: list[tuple[AffineForm, AffineForm]] = []
-    dep: list[tuple[int, AffineForm]] = []
-
-    for pos in range(1, length + 1):
-        if pos not in first_of:
-            forms[pos] = _coordinate(slot[pos], dim)
-            continue
-        f = first_of[pos]
-        kind = w.colors[pos - 1]
-        *weights, shift = _CASE_RELATIONS[kind][case_of[pos]]
-        prev, va, vb = forms[pos - 1], forms[f - 1], forms[f]
-        form = _combine(weights, (prev, va, vb), shift)
-        if kind is LinkKind.WIGNER:
-            equalities.append((prev, _combine((1, 1, -1), (va, vb, form), 0)))
-        forms[pos] = form
-        dep.append((pos, form))
-
-    return ConstraintSystem(gen_positions, tuple(dep), tuple(equalities))
+    coords = {pos: _coordinate(slot, len(gen_positions)) for slot, pos in enumerate(gen_positions)}
+    # (second occurrence, first occurrence, match index) in position order
+    steps = sorted((s, f, idx) for idx, (f, s) in enumerate(pairs))
+    # (labels in step order, forms by position, dependent forms, equalities)
+    prefixes = [((), (coords[0],), (), ())]
+    for s, f, idx in steps:
+        # the first occurrences since the last step, the same for every prefix
+        gap = tuple(coords[pos] for pos in range(len(prefixes[0][1]), s))
+        wigner = w.colors[s - 1] is LinkKind.WIGNER
+        grown = []
+        for labels, forms, dep, equalities in prefixes:
+            forms += gap
+            prev, va, vb = forms[s - 1], forms[f - 1], forms[f]
+            for label, (*weights, shift) in relations[idx].items():
+                form = _combine(weights, (prev, va, vb), shift)
+                eqs = equalities
+                if wigner:
+                    eqs += ((prev, _combine((1, 1, -1), (va, vb, form), 0)),)
+                grown.append((labels + (label,), forms + (form,), dep + ((s, form),), eqs))
+        prefixes = grown
+    systems = {labels: ConstraintSystem(gen_positions, dep, eqs) for labels, _, dep, eqs in prefixes}
+    order = [idx for _, _, idx in steps]
+    return [systems[tuple(case[idx] for idx in order)] for case in cases]
 
 
 def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
@@ -315,9 +321,11 @@ def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET
     return total
 
 
-def _check_method(method: str) -> None:
+def _check_request(method: str, samples: int) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "mc" and samples < 1:
+        raise ValueError("samples must be >= 1")
 
 
 def _word_seed(master: int, w: ColoredWord) -> int:
@@ -339,14 +347,15 @@ def p_limit(
 
     Zero when no deduplicated constraint system survives.  "mc": sum of
     Monte-Carlo volumes of the surviving systems, drawn from a stream
-    derived from the seed (mod 2^64) and the word without copy indices.
+    derived from the seed (mod 2^64) and the word without copy indices;
+    samples < 1 is a ValueError whatever the word.
     "exact": over odd n the circuit count is a polynomial of degree
     <= k+1 whose leading coefficient is the volume, read with stderr 0
     off the finite differences of exact counts at n = 2k+5, 2k+3, ..., 1;
     the spare point checks the fit (ArithmeticError if not), and the
     largest count comes first, so an over-budget request fails at once.
     """
-    _check_method(method)
+    _check_request(method, samples)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
     k = len(w) // 2
@@ -359,8 +368,7 @@ def p_limit(
         raise BudgetExceededError(f"word has {n_cases} affine cases, budget is {budget:.2e}")
     systems = []
     seen = set()
-    for case in build_cases(w):
-        cs = resolve_affine(w, case)
+    for cs in resolve_affine(w, build_cases(w)):
         if not cs.identity_ok():
             continue
         key = cs.canonical_key()
@@ -449,7 +457,7 @@ def alpha_estimate(
     budget: int = DEFAULT_BUDGET,
 ) -> VolumeEstimate:
     """(value, stderr) of the limiting expected normalized trace moment."""
-    _check_method(method)
+    _check_request(method, samples)
     return _sum_estimates(
         p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget)
         for w in pair_matched_words(q, budget)

@@ -4,7 +4,8 @@ Everything here is written from the raw definitions, separately from the
 package's solving/enumeration machinery: link values are inlined per
 formula, circuit counts come from full O(n^word_length) grids, matchings
 from itertools, determinants from exact fraction elimination, eigenvalues
-from cyclic Jacobi rotations.
+from cyclic Jacobi rotations, affine case systems from one position walk
+per case over the package's relation table.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from patrm.limits import _CASE_RELATIONS
+from patrm.linkfns import LinkKind
 
 
 def lvalue_grid(kind_char: str, n: int, a, b):
@@ -95,6 +99,46 @@ def noncrossing_matchings_bruteforce(m: int) -> list[tuple[tuple[int, int], ...]
         if not crossing:
             res.append(shifted)
     return res
+
+
+def resolve_case_reference(word_text: str, colors_text: str, case: tuple):
+    """One case's affine system by a fresh walk over every position.
+
+    Returns (gen_positions, dep_forms, equalities) with each form a plain
+    (coeffs, const) tuple.  The only package input is the relation table
+    _CASE_RELATIONS, the specification of the case labels: at a second
+    occurrence s of the match (f, s), label c gives
+    v_s = prev v_{s-1} + va v_{f-1} + vb v_f + shift, and a Wigner match
+    also identifies v_{s-1} with v_{f-1} + v_f - v_s.
+    """
+    pairs = word_pairs(word_text)
+    gen_positions = tuple([0] + [f for f, _ in pairs])
+    dim = len(gen_positions)
+    forms = {pos: (tuple(int(i == slot) for i in range(dim)), 0) for slot, pos in enumerate(gen_positions)}
+    label_of = {s: case[idx] for idx, (_, s) in enumerate(pairs)}
+    first_of = {s: f for f, s in pairs}
+
+    def linear(terms, shift):
+        coeffs, const = [0] * dim, shift
+        for weight, (form_coeffs, form_const) in terms:
+            for i, c in enumerate(form_coeffs):
+                coeffs[i] += weight * c
+            const += weight * form_const
+        return tuple(coeffs), const
+
+    dep, equalities = [], []
+    for pos in range(1, len(word_text) + 1):
+        if pos not in first_of:
+            continue
+        f = first_of[pos]
+        kind = LinkKind(colors_text[pos - 1])
+        prev, va, vb, shift = _CASE_RELATIONS[kind][label_of[pos]]
+        form = linear([(prev, forms[pos - 1]), (va, forms[f - 1]), (vb, forms[f])], shift)
+        if kind is LinkKind.WIGNER:
+            equalities.append((forms[pos - 1], linear([(1, forms[f - 1]), (1, forms[f]), (-1, form)], 0)))
+        forms[pos] = form
+        dep.append((pos, form))
+    return gen_positions, tuple(dep), tuple(equalities)
 
 
 def catalan_number(k: int) -> int:

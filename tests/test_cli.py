@@ -72,6 +72,12 @@ def test_tables_flags_known_discrepancies(capsys):
         assert float(row["abs_err"]) <= 0.02
 
 
+def test_tables_mc_golden_row(capsys):
+    # SSSSHH/ababcc as the per-case resolver gave it at 2000 samples, seed 0
+    _, out, _ = run(capsys, "tables", "--samples", "2000")
+    assert "SSSSHH,ababcc,1,1.0065,0.0064999999999999503\r\n" in out
+
+
 def test_tables_exact_prints_true_volumes(capsys):
     code, out, err = run(capsys, "tables", "--method", "exact")
     assert code == EXIT_NUMERIC  # the two defective published cells
@@ -176,6 +182,27 @@ def test_json_roundtrip_17_digits(capsys):
     # every float re-serializes to the exact same double
     text = format(payload["p"], ".17g")
     assert float(text) == payload["p"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pcw", "--q", "WSWS", "--word", "abab"],
+        ["pcw", "--q", "TTTT", "--word", "abba"],
+        ["alpha", "--q", "THT"],
+        ["tables"],
+        ["moments", "--q", "THTH", "--n", "10"],
+        ["freeness", "--q", "WWTT"],
+    ],
+    ids=lambda a: "-".join(a[:2]),
+)
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_nonpositive_samples_exit_one(capsys, argv, samples):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--samples", samples])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples: must be >= 1" in captured.err
 
 
 def test_usage_errors_exit_one(capsys):

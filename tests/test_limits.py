@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circuit_count_bruteforce
+from oracles import circuit_count_bruteforce, resolve_case_reference
 from patrm import limits
 from patrm.algebra import (
     Monomial,
@@ -50,16 +51,14 @@ def test_resolve_single_pair_full_volume():
     for kind in "WTHRS":
         w = word("aa", kind * 2)
         total = 0.0
-        for case in build_cases(w):
-            cs = resolve_affine(w, case)
+        for cs in resolve_affine(w, build_cases(w)):
             total += case_volume_mc(cs, 1000, seed=0).value
         assert total == pytest.approx(1.0)
 
 
 def test_resolve_structure_invariants():
     w = word("aabccb", "TTHTTH")
-    for case in build_cases(w):
-        cs = resolve_affine(w, case)
+    for cs in resolve_affine(w, build_cases(w)):
         assert cs.gen_positions[0] == 0
         assert len(cs.gen_positions) == len(w) // 2 + 1
         slots = {pos: i for i, pos in enumerate(cs.gen_positions)}
@@ -73,17 +72,17 @@ def test_resolve_structure_invariants():
 def test_toeplitz_quadruple_survivors_match_exact_count():
     # only case combinations whose closure holds identically contribute
     w = word("abab", "TTTT")
-    surviving = [c for c in build_cases(w) if resolve_affine(w, c).identity_ok()]
+    cases = build_cases(w)
+    surviving = [c for c, cs in zip(cases, resolve_affine(w, cases)) if cs.identity_ok()]
     assert surviving == [(-1, -1)]
-    total = sum(case_volume_mc(resolve_affine(w, c), 300000, seed=1).value for c in surviving)
+    total = sum(case_volume_mc(cs, 300000, seed=1).value for cs in resolve_affine(w, surviving))
     est = p_limit(w, "exact")
     assert total == pytest.approx(est.value, abs=0.02)
 
 
 def test_wigner_crossing_case_contributes_zero():
     w = word("abab", "WTWT")
-    for case in build_cases(w):
-        cs = resolve_affine(w, case)
+    for cs in resolve_affine(w, build_cases(w)):
         assert not cs.identity_ok()
         assert case_volume_mc(cs, 100, seed=0).value == 0.0
     # normalized counts decay like 1/n: the limit is zero
@@ -95,9 +94,8 @@ def test_wigner_crossing_case_contributes_zero():
 
 def test_case_volume_full_cube_and_dead_closure():
     w = word("aa", "TT")
-    cs_ok = resolve_affine(w, (-1,))
+    cs_ok, cs_dead = resolve_affine(w, [(-1,), (1,)])
     assert case_volume_mc(cs_ok, 10, seed=0).value == 1.0
-    cs_dead = resolve_affine(w, (1,))
     est = case_volume_mc(cs_dead, 10, seed=0)
     assert est.value == 0.0 and est.stderr == 0.0
 
@@ -105,8 +103,8 @@ def test_case_volume_full_cube_and_dead_closure():
 def test_case_volume_thth():
     w = word("abab", "THTH")
     total, var = 0.0, 0.0
-    for case in build_cases(w):
-        est = case_volume_mc(resolve_affine(w, case), 10**6, seed=3)
+    for cs in resolve_affine(w, build_cases(w)):
+        est = case_volume_mc(cs, 10**6, seed=3)
         total += est.value
         var += est.stderr**2
     assert abs(total - 2 / 3) <= 3 * (var**0.5 + 1e-12) + 1e-3
@@ -295,6 +293,75 @@ def test_unknown_method_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: p_limit(word("abab", "WSWS"), samples=0),
+        lambda: p_limit(word("abab", "THHT"), samples=0),
+        lambda: alpha(parse_monomial("THT"), samples=0),
+    ],
+    ids=["no-surviving-system", "color-inconsistent", "odd-monomial"],
+)
+def test_nonpositive_samples_rejected_on_mc_route(call):
+    # the check comes before any case work, so it does not depend on the word
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        call()
+
+
+def test_exact_route_ignores_samples():
+    assert p_limit(word("abab", "THTH"), "exact", samples=0).value == pytest.approx(2 / 3)
+
+
+# alpha_estimate(q, samples=20000, seed=1) as the per-case resolver gave
+# it; equal tuples mean the case order, the dedup order and the
+# per-system seeds are unchanged
+GOLDEN_ALPHA_ESTIMATES = {
+    "SSSSSS": (15.00965, 0.01709202298954106),
+    "RRRRRR": (6.00295, 0.005950350189274577),
+    "WRWRWR": (0.0, 0.0),
+    "THTHTH": (0.0, 0.0),
+    "THTHHH": (1.3415, 0.00469935969042592),
+}
+
+
+@pytest.mark.parametrize("mono", sorted(GOLDEN_ALPHA_ESTIMATES))
+def test_alpha_estimate_golden_values(mono):
+    assert tuple(alpha_estimate(parse_monomial(mono), samples=20000, seed=1)) == GOLDEN_ALPHA_ESTIMATES[mono]
+
+
+def _color_consistent_words(length):
+    # every pair-matched letter string, each letter colored by one kind
+    for w in enumerate_pair_matched_words(parse_monomial("T" * length)):
+        letters = sorted(set(w.text))
+        for kinds in itertools.product("WTHRS", repeat=len(letters)):
+            color = dict(zip(letters, kinds))
+            yield w.text, "".join(color[ch] for ch in w.text)
+
+
+REFERENCE_WORDS = [
+    *(pair for length in (2, 4, 6) for pair in _color_consistent_words(length)),
+    ("abcdabcd", "SSSSSSSS"),
+    ("abcdbcda", "RRRRRRRR"),
+    ("abcbadcd", "WRWRWRWR"),
+]
+
+
+def test_resolve_affine_equals_reference_walk():
+    assert len(REFERENCE_WORDS) == 5 * 1 + 25 * 3 + 125 * 15 + 3 == 1958
+    for word_text, colors in REFERENCE_WORDS:
+        w = word(word_text, colors)
+        cases = build_cases(w)
+        got = [(cs.gen_positions, cs.dep_forms, cs.equalities) for cs in resolve_affine(w, cases)]
+        assert got == [resolve_case_reference(word_text, colors, case) for case in cases], (word_text, colors)
+
+
+def test_resolve_affine_keeps_the_given_label_order():
+    # abba's matches differ in first- and second-occurrence order
+    w = word("abba", "TSST")
+    cases = build_cases(w)
+    assert resolve_affine(w, cases[::-1]) == resolve_affine(w, cases)[::-1]
+
+
 def test_alpha_estimate_stderr_combines():
     # three words: aabb and abba at volume 1, abab at 2/3
     value, stderr = alpha_estimate(parse_monomial("TTTT"), samples=50000, seed=3)
@@ -315,8 +382,7 @@ def test_affine_form_helpers():
 
 def test_resolved_forms_are_integer_rows():
     w = word("abab", "SSSS")
-    for case in build_cases(w):
-        cs = resolve_affine(w, case)
+    for cs in resolve_affine(w, build_cases(w)):
         for _, form in cs.dep_forms:
             assert len(form.coeffs) == cs.dim
             assert all(type(c) is int for c in (*form.coeffs, form.const))
@@ -345,7 +411,7 @@ def test_case_engine_golden_counts(mono):
     for w in enumerate_pair_matched_words(parse_monomial(mono)):
         cases = build_cases(w)
         assert case_count(w) == len(cases)
-        systems = [resolve_affine(w, c) for c in cases]
+        systems = resolve_affine(w, cases)
         alive = [cs for cs in systems if cs.identity_ok()]
         got[w.text] = (len(cases), len(alive), len({cs.canonical_key() for cs in alive}))
     assert got == GOLDEN_CASE_COUNTS[mono]
@@ -378,8 +444,7 @@ def test_dedup_never_merges_distinct_positive_cases():
     for mono, word_text in [("TTTT", "aabb"), ("SSSS", "aabb"), ("RRRR", "abab")]:
         w = word(word_text, mono)
         keys = set()
-        for case in build_cases(w):
-            cs = resolve_affine(w, case)
+        for cs in resolve_affine(w, build_cases(w)):
             if cs.identity_ok():
                 key = cs.canonical_key()
                 assert key not in keys
