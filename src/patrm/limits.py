@@ -182,8 +182,8 @@ def build_cases(w: ColoredWord) -> list[CaseLabel]:
     return list(itertools.product(*_match_relations(w)))
 
 
-def resolve_affine(w: ColoredWord, cases) -> list[ConstraintSystem]:
-    """Affine systems of the given case labels, in their order, from one walk.
+def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
+    """Affine systems of all the word's cases, in build_cases order, from one walk.
 
     The second occurrences are taken in position order, and each extends
     every label prefix built so far by each label of its match, so a
@@ -219,7 +219,7 @@ def resolve_affine(w: ColoredWord, cases) -> list[ConstraintSystem]:
         prefixes = grown
     systems = {labels: ConstraintSystem(gen_positions, dep, eqs) for labels, _, dep, eqs in prefixes}
     order = [idx for _, _, idx in steps]
-    return [systems[tuple(case[idx] for idx in order)] for case in cases]
+    return [systems[tuple(case[idx] for idx in order)] for case in build_cases(w)]
 
 
 def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
@@ -324,7 +324,7 @@ def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET
 def _check_request(method: str, samples: int) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "mc" and samples < 1:
+    if samples < 1:
         raise ValueError("samples must be >= 1")
 
 
@@ -347,13 +347,13 @@ def p_limit(
 
     Zero when no deduplicated constraint system survives.  "mc": sum of
     Monte-Carlo volumes of the surviving systems, drawn from a stream
-    derived from the seed (mod 2^64) and the word without copy indices;
-    samples < 1 is a ValueError whatever the word.
+    derived from the seed (mod 2^64) and the word without copy indices.
     "exact": over odd n the circuit count is a polynomial of degree
     <= k+1 whose leading coefficient is the volume, read with stderr 0
     off the finite differences of exact counts at n = 2k+5, 2k+3, ..., 1;
     the spare point checks the fit (ArithmeticError if not), and the
     largest count comes first, so an over-budget request fails at once.
+    samples < 1 is a ValueError on either route, whatever the word.
     """
     _check_request(method, samples)
     if not w.is_pair_matched():
@@ -368,7 +368,7 @@ def p_limit(
         raise BudgetExceededError(f"word has {n_cases} affine cases, budget is {budget:.2e}")
     systems = []
     seen = set()
-    for cs in resolve_affine(w, build_cases(w)):
+    for cs in resolve_affine(w):
         if not cs.identity_ok():
             continue
         key = cs.canonical_key()

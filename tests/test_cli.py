@@ -189,6 +189,7 @@ def test_json_roundtrip_17_digits(capsys):
     [
         ["pcw", "--q", "WSWS", "--word", "abab"],
         ["pcw", "--q", "TTTT", "--word", "abba"],
+        ["pcw", "--q", "THTH", "--word", "abab", "--method", "exact"],
         ["alpha", "--q", "THT"],
         ["tables"],
         ["moments", "--q", "THTH", "--n", "10"],

@@ -51,14 +51,14 @@ def test_resolve_single_pair_full_volume():
     for kind in "WTHRS":
         w = word("aa", kind * 2)
         total = 0.0
-        for cs in resolve_affine(w, build_cases(w)):
+        for cs in resolve_affine(w):
             total += case_volume_mc(cs, 1000, seed=0).value
         assert total == pytest.approx(1.0)
 
 
 def test_resolve_structure_invariants():
     w = word("aabccb", "TTHTTH")
-    for cs in resolve_affine(w, build_cases(w)):
+    for cs in resolve_affine(w):
         assert cs.gen_positions[0] == 0
         assert len(cs.gen_positions) == len(w) // 2 + 1
         slots = {pos: i for i, pos in enumerate(cs.gen_positions)}
@@ -72,17 +72,16 @@ def test_resolve_structure_invariants():
 def test_toeplitz_quadruple_survivors_match_exact_count():
     # only case combinations whose closure holds identically contribute
     w = word("abab", "TTTT")
-    cases = build_cases(w)
-    surviving = [c for c, cs in zip(cases, resolve_affine(w, cases)) if cs.identity_ok()]
-    assert surviving == [(-1, -1)]
-    total = sum(case_volume_mc(cs, 300000, seed=1).value for cs in resolve_affine(w, surviving))
+    alive = [(c, cs) for c, cs in zip(build_cases(w), resolve_affine(w)) if cs.identity_ok()]
+    assert [c for c, _ in alive] == [(-1, -1)]
+    total = sum(case_volume_mc(cs, 300000, seed=1).value for _, cs in alive)
     est = p_limit(w, "exact")
     assert total == pytest.approx(est.value, abs=0.02)
 
 
 def test_wigner_crossing_case_contributes_zero():
     w = word("abab", "WTWT")
-    for cs in resolve_affine(w, build_cases(w)):
+    for cs in resolve_affine(w):
         assert not cs.identity_ok()
         assert case_volume_mc(cs, 100, seed=0).value == 0.0
     # normalized counts decay like 1/n: the limit is zero
@@ -94,7 +93,8 @@ def test_wigner_crossing_case_contributes_zero():
 
 def test_case_volume_full_cube_and_dead_closure():
     w = word("aa", "TT")
-    cs_ok, cs_dead = resolve_affine(w, [(-1,), (1,)])
+    assert build_cases(w) == [(1,), (-1,)]
+    cs_dead, cs_ok = resolve_affine(w)
     assert case_volume_mc(cs_ok, 10, seed=0).value == 1.0
     est = case_volume_mc(cs_dead, 10, seed=0)
     assert est.value == 0.0 and est.stderr == 0.0
@@ -103,7 +103,7 @@ def test_case_volume_full_cube_and_dead_closure():
 def test_case_volume_thth():
     w = word("abab", "THTH")
     total, var = 0.0, 0.0
-    for cs in resolve_affine(w, build_cases(w)):
+    for cs in resolve_affine(w):
         est = case_volume_mc(cs, 10**6, seed=3)
         total += est.value
         var += est.stderr**2
@@ -299,17 +299,15 @@ def test_unknown_method_rejected(call):
         lambda: p_limit(word("abab", "WSWS"), samples=0),
         lambda: p_limit(word("abab", "THHT"), samples=0),
         lambda: alpha(parse_monomial("THT"), samples=0),
+        lambda: p_limit(word("abab", "THTH"), "exact", samples=0),
     ],
-    ids=["no-surviving-system", "color-inconsistent", "odd-monomial"],
+    ids=["no-surviving-system", "color-inconsistent", "odd-monomial", "exact-route"],
 )
-def test_nonpositive_samples_rejected_on_mc_route(call):
-    # the check comes before any case work, so it does not depend on the word
+def test_nonpositive_samples_rejected(call):
+    # the check comes before any case work, so it depends on neither the
+    # word nor the route
     with pytest.raises(ValueError, match="samples must be >= 1"):
         call()
-
-
-def test_exact_route_ignores_samples():
-    assert p_limit(word("abab", "THTH"), "exact", samples=0).value == pytest.approx(2 / 3)
 
 
 # alpha_estimate(q, samples=20000, seed=1) as the per-case resolver gave
@@ -350,16 +348,9 @@ def test_resolve_affine_equals_reference_walk():
     assert len(REFERENCE_WORDS) == 5 * 1 + 25 * 3 + 125 * 15 + 3 == 1958
     for word_text, colors in REFERENCE_WORDS:
         w = word(word_text, colors)
-        cases = build_cases(w)
-        got = [(cs.gen_positions, cs.dep_forms, cs.equalities) for cs in resolve_affine(w, cases)]
-        assert got == [resolve_case_reference(word_text, colors, case) for case in cases], (word_text, colors)
-
-
-def test_resolve_affine_keeps_the_given_label_order():
-    # abba's matches differ in first- and second-occurrence order
-    w = word("abba", "TSST")
-    cases = build_cases(w)
-    assert resolve_affine(w, cases[::-1]) == resolve_affine(w, cases)[::-1]
+        got = [(cs.gen_positions, cs.dep_forms, cs.equalities) for cs in resolve_affine(w)]
+        want = [resolve_case_reference(word_text, colors, case) for case in build_cases(w)]
+        assert got == want, (word_text, colors)
 
 
 def test_alpha_estimate_stderr_combines():
@@ -382,7 +373,7 @@ def test_affine_form_helpers():
 
 def test_resolved_forms_are_integer_rows():
     w = word("abab", "SSSS")
-    for cs in resolve_affine(w, build_cases(w)):
+    for cs in resolve_affine(w):
         for _, form in cs.dep_forms:
             assert len(form.coeffs) == cs.dim
             assert all(type(c) is int for c in (*form.coeffs, form.const))
@@ -411,7 +402,7 @@ def test_case_engine_golden_counts(mono):
     for w in enumerate_pair_matched_words(parse_monomial(mono)):
         cases = build_cases(w)
         assert case_count(w) == len(cases)
-        systems = resolve_affine(w, cases)
+        systems = resolve_affine(w)
         alive = [cs for cs in systems if cs.identity_ok()]
         got[w.text] = (len(cases), len(alive), len({cs.canonical_key() for cs in alive}))
     assert got == GOLDEN_CASE_COUNTS[mono]
@@ -444,7 +435,7 @@ def test_dedup_never_merges_distinct_positive_cases():
     for mono, word_text in [("TTTT", "aabb"), ("SSSS", "aabb"), ("RRRR", "abab")]:
         w = word(word_text, mono)
         keys = set()
-        for cs in resolve_affine(w, build_cases(w)):
+        for cs in resolve_affine(w):
             if cs.identity_ok():
                 key = cs.canonical_key()
                 assert key not in keys
