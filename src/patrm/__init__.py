@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .algebra import (
     ColoredWord,
     Monomial,
-    cyclic_rotate,
     drop_indices,
     enumerate_pair_matched_words,
     is_catalan,
@@ -66,7 +65,6 @@ __all__ = [
     "build_cases",
     "case_volume_mc",
     "count_circuits_exact",
-    "cyclic_rotate",
     "drop_indices",
     "eigenvalues_symmetric",
     "empirical_trace_moment",

@@ -9,7 +9,6 @@ numbered in order of first occurrence ('a' before 'b' before 'c', ...).
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -46,11 +45,6 @@ class Monomial:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for _, idx in self.letters)
-
-    def rotated(self, shift: int) -> "Monomial":
-        k = len(self.letters)
-        shift %= k
-        return Monomial(self.letters[shift:] + self.letters[:shift])
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -230,20 +224,6 @@ def is_catalan(w: ColoredWord) -> bool:
     return not stack
 
 
-def cyclic_rotate(w: ColoredWord, shift: int) -> ColoredWord:
-    """Word with positions shifted left by `shift`, re-canonicalized.
-
-    Its monomial is the same rotation of the original monomial.
-    """
-    n = len(w)
-    if not 0 <= shift < n:
-        raise ValueError(f"shift must be in [0, {n})")
-    letters = tuple(w.letters[(i + shift) % n] for i in range(n))
-    colors = tuple(w.colors[(i + shift) % n] for i in range(n))
-    indices = tuple(w.indices[(i + shift) % n] for i in range(n))
-    return ColoredWord(canonical_letters(letters), colors, indices)
-
-
 def count_pairings(num_positions: int) -> int:
     """(2k)!/(k! 2^k) for 2k positions; 0 for odd counts."""
     if num_positions % 2:
@@ -269,8 +249,3 @@ def pairing_count_estimate(q: Monomial) -> int:
         total *= count_pairings(c)
     return total
 
-
-def all_monomials(kinds, length: int, indices=(1,)) -> list[Monomial]:
-    """Every monomial of the given length over the kind/index alphabet."""
-    alphabet = [(k, i) for k in kinds for i in indices]
-    return [Monomial(tuple(c)) for c in itertools.product(alphabet, repeat=length)]

@@ -270,10 +270,12 @@ def exact_count_work(w: ColoredWord, n: int) -> int:
 def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of circuits whose matched edges carry equal link values.
 
-    Enumerates all assignments of generating vertices; each dependent
-    vertex branches over the solutions of its link equation (at most
-    DELTA[kind] per step), and the walk closes on the starting vertex.
-    Duplicate-free by construction.
+    One depth-first walk over the positions per start vertex; the other
+    generating vertices are open grid axes.  A first occurrence adds its
+    axis.  A second occurrence extends its prefix once per branch of its
+    link equation (at most DELTA[kind]) whose mask of live cells is not
+    empty, so each branch prefix is solved once.  The walk closes on the
+    starting vertex.  Duplicate-free by construction.
     """
     if not w.is_pair_matched():
         raise ValueError("exact counting requires a pair-matched word")
@@ -283,41 +285,30 @@ def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET
         raise BudgetExceededError(
             f"enumeration needs ~{exact_count_work(w, n):.2e} steps, budget is {budget:.2e}"
         )
-    pairs = match_pairs(w)
-    first_of = {s: f for f, s in pairs}
-    length = len(w)
-    k = len(pairs)
-    gen_tail = sorted(f for f, _ in pairs)
+    first_of = {s: f for f, s in match_pairs(w)}
+    length, k = len(w), len(first_of)
 
-    # one grid axis per generating vertex other than vertex 0
-    axes: dict[int, np.ndarray] = {}
-    for ax, pos in enumerate(gen_tail):
-        shape = [1] * k
-        shape[ax] = n
-        axes[pos] = np.arange(n, dtype=np.int64).reshape(shape)
-
-    seconds = [s for s in range(1, length + 1) if s in first_of]
-    domains = [range(DELTA[w.colors[s - 1]]) for s in seconds]
+    # one open grid axis per generating vertex other than vertex 0
+    axes = dict(zip(sorted(first_of.values()), np.ix_(*[np.arange(n, dtype=np.int64)] * k)))
 
     total = 0
     for v0 in range(n):
-        base = {0: np.int64(v0), **axes}
-        for branches in itertools.product(*domains):
-            vals = dict(base)
-            mask: np.ndarray | bool = True
-            dead = False
-            for s, br in zip(seconds, branches):
-                f = first_of[s]
-                kind = w.colors[s - 1]
-                vals[s], valid = solve_branch_grid(kind, n, vals[s - 1], vals[f - 1], vals[f], br)
-                mask = mask & valid
-                if mask is not True and not mask.any():
-                    dead = True
-                    break
-            if dead:
-                continue
-            mask = mask & (vals[length] == v0)
-            total += int(np.broadcast_to(mask, (n,) * k).sum())
+        # (next position, vertex grids of positions 0..position-1, live mask)
+        stack = [(1, (np.int64(v0),), True)]
+        while stack:
+            pos, vals, mask = stack.pop()
+            if pos > length:
+                total += int(np.broadcast_to(mask & (vals[length] == v0), (n,) * k).sum())
+            elif pos not in first_of:
+                stack.append((pos + 1, vals + (axes[pos],), mask))
+            else:
+                f = first_of[pos]
+                kind = w.colors[pos - 1]
+                for br in range(DELTA[kind]):
+                    x, valid = solve_branch_grid(kind, n, vals[pos - 1], vals[f - 1], vals[f], br)
+                    valid = mask & valid
+                    if valid.any():
+                        stack.append((pos + 1, vals + (x,), valid))
     return total
 
 

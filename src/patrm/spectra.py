@@ -40,7 +40,8 @@ def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
     if np.abs(A - A.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     _check_size(A.shape[0])
-    return np.sort(np.linalg.eigvalsh(A))
+    # LAPACK's symmetric solvers return the eigenvalues in ascending order
+    return np.linalg.eigvalsh(A)
 
 
 @dataclass(frozen=True)

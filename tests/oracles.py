@@ -5,7 +5,8 @@ package's solving/enumeration machinery: link values are inlined per
 formula, circuit counts come from full O(n^word_length) grids, matchings
 from itertools, determinants from exact fraction elimination, eigenvalues
 from cyclic Jacobi rotations, affine case systems from one position walk
-per case over the package's relation table.
+per case over the package's relation table.  It also holds the test
+helpers that enumerate monomials and rotate monomials and words.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from patrm.algebra import ColoredWord, Monomial, canonical_letters
 from patrm.limits import _CASE_RELATIONS
 from patrm.linkfns import LinkKind
 
@@ -33,6 +35,32 @@ def lvalue_grid(kind_char: str, n: int, a, b):
     if kind_char == "W":
         return np.minimum(a, b) * n + np.maximum(a, b)
     raise ValueError(kind_char)
+
+
+def all_monomials(kinds, length: int, indices=(1,)) -> list[Monomial]:
+    """Every monomial of the given length over the kind/index alphabet."""
+    alphabet = [(k, i) for k in kinds for i in indices]
+    return [Monomial(tuple(c)) for c in itertools.product(alphabet, repeat=length)]
+
+
+def rotate_monomial(q: Monomial, shift: int) -> Monomial:
+    """The monomial with its letters shifted left by `shift`, modulo its length."""
+    shift %= len(q)
+    return Monomial(q.letters[shift:] + q.letters[:shift])
+
+
+def cyclic_rotate(w: ColoredWord, shift: int) -> ColoredWord:
+    """Word with positions shifted left by `shift`, re-canonicalized.
+
+    Its monomial is the same rotation of the original monomial.
+    """
+    n = len(w)
+    if not 0 <= shift < n:
+        raise ValueError(f"shift must be in [0, {n})")
+    letters = tuple(w.letters[(i + shift) % n] for i in range(n))
+    colors = tuple(w.colors[(i + shift) % n] for i in range(n))
+    indices = tuple(w.indices[(i + shift) % n] for i in range(n))
+    return ColoredWord(canonical_letters(letters), colors, indices)
 
 
 def word_pairs(word_text: str) -> list[tuple[int, int]]:

@@ -14,10 +14,9 @@ import math
 
 import numpy as np
 
-from oracles import circuit_count_bruteforce
+from oracles import all_monomials, circuit_count_bruteforce
 from patrm.algebra import (
     Monomial,
-    all_monomials,
     drop_indices,
     enumerate_pair_matched_words,
     is_catalan,

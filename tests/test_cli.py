@@ -72,6 +72,16 @@ def test_tables_flags_known_discrepancies(capsys):
         assert float(row["abs_err"]) <= 0.02
 
 
+def test_tables_low_samples_flags_only_defective_rows(capsys):
+    # at 2000 samples a fixed 0.02 tolerance is ~2 standard errors of a row
+    code, _, err = run(capsys, "tables", "--samples", "2000")
+    assert code == EXIT_NUMERIC
+    lines = err.strip().splitlines()
+    assert all(line.startswith("tables: |err| >") for line in lines)
+    flagged = {line.split("(")[1].split(")")[0] for line in lines}
+    assert flagged == {"HHHSHS, aabcbc", "HHHSHS, abbcac"}
+
+
 def test_tables_mc_golden_row(capsys):
     # SSSSHH/ababcc as the per-case resolver gave it at 2000 samples, seed 0
     _, out, _ = run(capsys, "tables", "--samples", "2000")

@@ -2,6 +2,7 @@
 import pytest
 
 from oracles import (
+    all_monomials,
     catalan_number,
     matchings_bruteforce,
     noncrossing_matchings_bruteforce,
@@ -9,7 +10,6 @@ from oracles import (
 from patrm import limits
 from patrm.algebra import (
     Monomial,
-    all_monomials,
     drop_indices,
     enumerate_pair_matched_words,
     is_catalan,

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circuit_count_bruteforce, resolve_case_reference
+from oracles import circuit_count_bruteforce, cyclic_rotate, resolve_case_reference
 from patrm import limits
 from patrm.algebra import (
     Monomial,
-    cyclic_rotate,
     enumerate_pair_matched_words,
+    match_pairs,
     parse_monomial,
     word_from_text,
 )
@@ -30,7 +30,7 @@ from patrm.limits import (
     pair_matched_words,
     resolve_affine,
 )
-from patrm.linkfns import ALL_KINDS, DELTA, LinkKind
+from patrm.linkfns import ALL_KINDS, DELTA, LinkKind, solve_branch_grid
 from patrm.reference_tables import ALL_ROWS
 
 T = LinkKind.TOEPLITZ
@@ -142,6 +142,38 @@ def test_count_matches_bruteforce_random(pair, pairing_idx, n):
     got = count_circuits_exact(w, n)
     want = circuit_count_bruteforce(w.text, w.color_text, n)
     assert got == want
+
+
+# counts of the per-combination counter, beyond the brute-force oracles' reach
+@pytest.mark.parametrize(
+    "word_text,mono,counts",
+    [
+        ("abcdbcda", "SSSSSSSS", (36337, 116289)),
+        ("abcdabcd", "TTTTTTTT", (15121, 48865)),
+        ("abcbadcd", "WRWRWRWR", (637, 1377)),
+        ("abbacddc", "TTTTHHHH", (17689, 61641)),
+    ],
+)
+def test_count_golden_long_words(word_text, mono, counts):
+    w = word(word_text, mono)
+    assert tuple(count_circuits_exact(w, n) for n in (7, 9)) == counts
+
+
+def test_count_solves_each_branch_prefix_once(monkeypatch):
+    # one solve per start vertex and branch prefix: the i-th second
+    # occurrence is reached by at most prod_{j<=i} DELTA_j prefixes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_branch_grid(*args)
+
+    monkeypatch.setattr(limits, "solve_branch_grid", counting)
+    w, n = word("abab", "TTTT"), 5
+    deltas = [DELTA[w.colors[s - 1]] for s in sorted(s for _, s in match_pairs(w))]
+    bound = n * sum(math.prod(deltas[: i + 1]) for i in range(len(deltas)))
+    assert count_circuits_exact(w, n) == circuit_count_bruteforce("abab", "TTTT", n)
+    assert 0 < len(calls) <= bound
 
 
 TABLE_EXAMPLES = [
