@@ -167,36 +167,34 @@ def enumerate_pair_matched_words(q: Monomial) -> list[ColoredWord]:
     """All perfect matchings of positions sharing color and copy index.
 
     Empty when the length is odd or any (color, index) class has odd
-    cardinality.  Words come out in lexicographic order of their letter
-    strings.
+    cardinality.  Words come out in lexicographic order of their sorted
+    position pairs (`match_pairs`).
     """
     if pairing_count_estimate(q) == 0:
         return []
-    k = len(q)
-    keys = q.letters
-    colors, indices = q.colors, q.indices
     words: list[ColoredWord] = []
-    letters = [-1] * k
-
-    def rec(i: int, lid: int):
-        # i is the first unmatched position; letters are numbered by their
-        # first position, so every word comes out canonical
-        if i == k:
-            words.append(ColoredWord(tuple(letters), colors, indices))
-            return
-        letters[i] = lid
-        for j in range(i + 1, k):
-            if letters[j] == -1 and keys[j] == keys[i]:
-                letters[j] = lid
-                nxt = i + 1
-                while nxt < k and letters[nxt] != -1:
-                    nxt += 1
-                rec(nxt, lid + 1)
-                letters[j] = -1
-        letters[i] = -1
-
-    rec(0, 0)
+    _match_from(0, 0, [-1] * len(q), q.letters, q.colors, q.indices, words)
     return words
+
+
+def _match_from(i, lid, letters, keys, colors, indices, words) -> None:
+    # i is the first unmatched position; letters are numbered by their first
+    # position, so every word comes out canonical.  Module-level rather than
+    # a self-calling closure, which would be a reference cycle per call.
+    k = len(letters)
+    if i == k:
+        words.append(ColoredWord(tuple(letters), colors, indices))
+        return
+    letters[i] = lid
+    for j in range(i + 1, k):
+        if letters[j] == -1 and keys[j] == keys[i]:
+            letters[j] = lid
+            nxt = i + 1
+            while nxt < k and letters[nxt] != -1:
+                nxt += 1
+            _match_from(nxt, lid + 1, letters, keys, colors, indices, words)
+            letters[j] = -1
+    letters[i] = -1
 
 
 def drop_indices(w: ColoredWord) -> ColoredWord:

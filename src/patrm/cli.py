@@ -27,7 +27,7 @@ from .freeness import freeness_report
 from .linkfns import LinkKind
 from .reference_tables import ALL_ROWS
 from .sampler import InputDistribution, empirical_trace_moment
-from .spectra import sum_lsd_report
+from .spectra import DEFAULT_BINS, sum_lsd_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,46 +87,46 @@ def _emit_json(obj) -> str:
 
 
 def _run_meta(args, **extra) -> dict:
-    meta = {"seed": args.seed, "budget": args.budget, "version": __version__}
-    meta.update(extra)
-    return meta
+    return {"seed": args.seed, "budget": args.budget, "version": __version__, **extra}
+
+
+def _report(args, payload: dict, **extra) -> int:
+    """Print one JSON report: the payload, then the run's metadata."""
+    print(_emit_json({**payload, **_run_meta(args, **extra)}))
+    return EXIT_OK
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def cmd_words(args) -> int:
     q = parse_monomial(args.q)
     words = limits.pair_matched_words(q, args.budget)
-    payload = {
-        "q": str(q),
-        "words": [w.to_json_dict() for w in words],
-        "count": len(words),
-        **_run_meta(args),
-    }
-    print(_emit_json(payload))
-    return EXIT_OK
+    return _report(args, {"q": str(q), "words": [w.to_json_dict() for w in words], "count": len(words)})
 
 
 def cmd_tables(args) -> int:
-    method = args.method
-    out = io.StringIO()
-    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(["monomial", "word", "p_paper", "p_computed", "abs_err"])
+    rows = []
     failures = []
     for row in ALL_ROWS:
         q = parse_monomial(row.monomial)
         w = word_from_text(row.word, q)
-        est = limits.p_limit_cached(
-            w, method, samples=args.samples, seed=args.seed, budget=args.budget
-        )
+        est = limits.p_limit_cached(w, args.method, samples=args.samples, seed=args.seed, budget=args.budget)
         p_paper = float(row.p_published)
         err = abs(est.value - p_paper)
         # at low --samples the fixed tolerance is ~2 standard errors, so noise alone would flag rows
         tol = max(TABLE_TOLERANCE, 4 * est.stderr)
         if err > tol:
             failures.append((row.monomial, row.word, err, tol))
-        writer.writerow(
+        rows.append(
             [row.monomial, row.word, _format_float(p_paper), _format_float(est.value), _format_float(err)]
         )
-    sys.stdout.write(out.getvalue())
+    sys.stdout.write(_csv_text(["monomial", "word", "p_paper", "p_computed", "abs_err"], rows))
     if failures:
         for mono, word, err, tol in failures:
             print(f"tables: |err| > {tol:.4g} for ({mono}, {word}): {err:.4f}", file=sys.stderr)
@@ -139,10 +139,8 @@ def cmd_pcw(args) -> int:
     w = word_from_text(args.word, q)
     if not w.is_pair_matched():
         raise ValueError(f"word {args.word!r} is not pair-matched")
-    est = limits.p_limit(
-        w, args.method, samples=args.samples, seed=args.seed, budget=args.budget
-    )
-    payload = {
+    est = limits.p_limit(w, args.method, samples=args.samples, seed=args.seed, budget=args.budget)
+    return _report(args, {
         "monomial": str(q),
         "word": w.text,
         "catalan": is_catalan(w),
@@ -150,10 +148,7 @@ def cmd_pcw(args) -> int:
         "p": est.value,
         "stderr": est.stderr,
         "method": args.method,
-        **_run_meta(args),
-    }
-    print(_emit_json(payload))
-    return EXIT_OK
+    })
 
 
 def cmd_alpha(args) -> int:
@@ -161,17 +156,14 @@ def cmd_alpha(args) -> int:
     value, stderr = limits.alpha_estimate(
         q, args.method, samples=args.samples, seed=args.seed, budget=args.budget
     )
-    payload = {
+    return _report(args, {
         "q": str(q),
         "alpha": value,
         "stderr": stderr,
         "bound": limits.alpha_bound(q),
         "words": pairing_count_estimate(q),
         "method": args.method,
-        **_run_meta(args),
-    }
-    print(_emit_json(payload))
-    return EXIT_OK
+    })
 
 
 def cmd_moments(args) -> int:
@@ -180,12 +172,10 @@ def cmd_moments(args) -> int:
     est = empirical_trace_moment(q, args.n, dist, args.reps, args.seed)
     alpha_limit: Optional[float] = None
     try:
-        alpha_limit = limits.alpha(
-            q, "mc", samples=args.samples, seed=args.seed, budget=args.budget
-        )
+        alpha_limit = limits.alpha(q, "mc", samples=args.samples, seed=args.seed, budget=args.budget)
     except limits.BudgetExceededError:
         pass
-    payload = {
+    return _report(args, {
         "q": str(q),
         "n": args.n,
         "mean": est.mean,
@@ -193,10 +183,7 @@ def cmd_moments(args) -> int:
         "reps": args.reps,
         "dist": dist.value,
         "alpha_limit": alpha_limit,
-        **_run_meta(args, method="simulation"),
-    }
-    print(_emit_json(payload))
-    return EXIT_OK
+    }, method="simulation")
 
 
 def cmd_lsd(args) -> int:
@@ -206,40 +193,40 @@ def cmd_lsd(args) -> int:
     report = sum_lsd_report(
         kind_a, kind_b, args.n, dist, args.reps, kmax=args.kmax, bins=args.bins, seed=args.seed
     )
-    rows = report.histogram.to_csv_rows()
-    csv_buf = io.StringIO()
-    writer = csv.writer(csv_buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(["bin_left", "bin_right", "count", "density"])
-    for left, right, count, density in rows:
-        writer.writerow([_format_float(left), _format_float(right), count, _format_float(density)])
+    table = _csv_text(
+        ["bin_left", "bin_right", "count", "density"],
+        (
+            [_format_float(left), _format_float(right), count, _format_float(density)]
+            for left, right, count, density in report.histogram.to_csv_rows()
+        ),
+    )
     sidecar = _emit_json({**report.to_json_dict(), **_run_meta(args, method="simulation")})
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            fh.write(csv_buf.getvalue())
+            fh.write(table)
         with open(args.out + ".json", "w") as fh:
             fh.write(sidecar + "\n")
         print(f"wrote {args.out} and {args.out}.json")
     else:
-        sys.stdout.write(csv_buf.getvalue())
+        sys.stdout.write(table)
         print(sidecar, file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_freeness(args) -> int:
     q = parse_monomial(args.q)
-    dist = InputDistribution(args.dist)
     report = freeness_report(
-        q,
-        n=args.n,
-        dist=dist,
-        reps=args.reps,
-        tol=args.tol,
-        samples=args.samples,
-        seed=args.seed,
+        q, n=args.n, dist=InputDistribution(args.dist), reps=args.reps, tol=args.tol,
+        samples=args.samples, seed=args.seed, budget=args.budget,
     )
-    payload = {**report.to_json_dict(), "n": args.n, **_run_meta(args, method="mc")}
-    print(_emit_json(payload))
-    return EXIT_OK
+    return _report(args, {**report.to_json_dict(), "n": args.n}, method="mc")
+
+
+def _option(flag: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,61 +235,41 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=0, help="master RNG seed, taken mod 2^64 (negative seeds alias)"
     )
-    common.add_argument(
-        "--budget", type=int, default=limits.DEFAULT_BUDGET, help="max enumeration steps"
-    )
+    common.add_argument("--budget", type=int, default=limits.DEFAULT_BUDGET, help="max enumeration steps")
+    q = _option("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
+    method = _option("--method", choices=limits.METHODS, default="mc")
+    samples = _option("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
+    dist = _option("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("words", help="list pair-matched words of a monomial", parents=[common])
-    p.add_argument("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
-    p.set_defaults(func=cmd_words)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("tables", parents=[common], help="reference word-volume tables as CSV")
-    p.add_argument("--method", choices=limits.METHODS, default="mc")
-    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("pcw", parents=[common], help="limit volume of one word")
-    p.add_argument("--q", required=True)
+    command("words", cmd_words, "list pair-matched words of a monomial", q)
+    command("tables", cmd_tables, "reference word-volume tables as CSV", method, samples)
+    p = command("pcw", cmd_pcw, "limit volume of one word", q, method, samples)
     p.add_argument("--word", required=True)
-    p.add_argument("--method", choices=limits.METHODS, default="mc")
-    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
-    p.set_defaults(func=cmd_pcw)
+    command("alpha", cmd_alpha, "limiting trace moment of a monomial", q, method, samples)
 
-    p = sub.add_parser("alpha", parents=[common], help="limiting trace moment of a monomial")
-    p.add_argument("--q", required=True)
-    p.add_argument("--method", choices=limits.METHODS, default="mc")
-    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
-    p.set_defaults(func=cmd_alpha)
-
-    p = sub.add_parser("moments", parents=[common], help="simulated trace moment of a monomial")
-    p.add_argument("--q", required=True)
+    p = command("moments", cmd_moments, "simulated trace moment of a monomial", q, dist, samples)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
-    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
-    p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("lsd", parents=[common], help="spectral report for a scaled sum of two ensembles")
+    p = command("lsd", cmd_lsd, "spectral report for a scaled sum of two ensembles", dist)
     p.add_argument("--a", required=True, help="first ensemble (W,T,H,R,S)")
     p.add_argument("--b", required=True, help="second ensemble (W,T,H,R,S)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
     p.add_argument("--out", help="CSV path; JSON sidecar written next to it")
-    p.set_defaults(func=cmd_lsd)
 
-    p = sub.add_parser("freeness", parents=[common], help="freeness verdict for a Wigner-mixing monomial")
-    p.add_argument("--q", required=True)
+    p = command("freeness", cmd_freeness, "freeness verdict for a Wigner-mixing monomial", q, dist, samples)
     p.add_argument("--n", type=int, default=0, help="simulate empirical moment at this size")
     p.add_argument("--reps", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.03)
-    p.add_argument("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
-    p.add_argument("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
-    p.set_defaults(func=cmd_freeness)
-
     return parser
 
 
@@ -317,7 +284,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"patrm: numerical check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"patrm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,15 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import limits
-from .algebra import Monomial, enumerate_pair_matched_words, is_catalan, match_pairs
+from .algebra import Monomial, is_catalan, match_pairs
 from .linkfns import LinkKind
-from .sampler import (
-    InputDistribution,
-    empirical_trace_moment,
-    sample_matrix,
-    substream,
-    trace_moment_samples,
-)
+from .sampler import InputDistribution, empirical_trace_moment, sample_matrix, substream
 
 CyclePermutation = tuple[tuple[int, ...], ...]
 
@@ -107,6 +101,7 @@ def free_moment_prediction(
     *,
     samples: int = limits.DEFAULT_MC_SAMPLES,
     seed: int = 0,
+    budget: int = limits.DEFAULT_BUDGET,
 ) -> float:
     """Mixed-moment value if the guide copies were a free semicircular family.
 
@@ -115,7 +110,8 @@ def free_moment_prediction(
     each partition contributes the product, over cycles of the
     partition composed with the full cycle, of the marginal of the
     concatenated blocks visited by that cycle: the Monte Carlo limit alpha
-    of the block monomial, or 1 for an empty block.
+    of the block monomial, or 1 for an empty block.  The budget bounds
+    the guide pairings and each block limit, as in limits.alpha.
     """
     alt = alternating_decomposition(q, guide_kind)
     if alt.m % 2 or len(q) % 2:
@@ -125,7 +121,7 @@ def free_moment_prediction(
         return 0.0
     guide = Monomial(tuple((guide_kind, i) for i in alt.guide_indices))
     total = 0.0
-    for w in enumerate_pair_matched_words(guide):
+    for w in limits.pair_matched_words(guide, budget):
         if not is_catalan(w):
             continue
         prod = 1.0
@@ -134,7 +130,9 @@ def free_moment_prediction(
             for r in cycle:
                 letters = letters + alt.blocks[r - 1]
             if letters:
-                prod *= limits.alpha(Monomial(letters), "mc", samples=samples, seed=seed)
+                prod *= limits.alpha(
+                    Monomial(letters), "mc", samples=samples, seed=seed, budget=budget
+                )
         total += prod
     return total
 
@@ -166,6 +164,7 @@ def freeness_report(
     tol: float = 0.03,
     samples: int = limits.DEFAULT_MC_SAMPLES,
     seed: int = 0,
+    budget: int = limits.DEFAULT_BUDGET,
 ) -> FreenessReport:
     """Compare the combinatorial limit with the free prediction for one monomial.
 
@@ -179,8 +178,8 @@ def freeness_report(
         raise ValueError("freeness check requires at least one Wigner letter")
     if kinds == {LinkKind.WIGNER}:
         raise ValueError("freeness check requires at least one non-Wigner letter")
-    a_val, a_err = limits.alpha_estimate(q, "mc", samples=samples, seed=seed)
-    pred = free_moment_prediction(q, samples=samples, seed=seed)
+    a_val, a_err = limits.alpha_estimate(q, "mc", samples=samples, seed=seed, budget=budget)
+    pred = free_moment_prediction(q, samples=samples, seed=seed, budget=budget)
     emp = emp_sd = emp_dev = None
     if reps >= 1 and n >= 1:
         est = empirical_trace_moment(q, n, dist, reps, seed)
@@ -229,28 +228,3 @@ def trace_factorization_check(
         gap = float(per_power.prod(axis=1).mean() - per_power.mean(axis=0).prod())
         rows.append(DecayRow(int(n), gap))
     return rows
-
-
-def concentration_check(
-    q: Monomial,
-    n_list: Sequence[int],
-    dist: InputDistribution,
-    reps: int,
-    seed: int = 0,
-) -> tuple[list[DecayRow], float]:
-    """Fourth central moment of the normalized trace moment per size.
-
-    Returns the per-size values and the fitted log-log slope against n
-    (concentration at rate n^-2 shows up as a slope near -2).
-    """
-    if reps < 50:
-        raise ValueError("need reps >= 50 for a usable fourth-moment estimate")
-    rows = []
-    for n in n_list:
-        vals = trace_moment_samples(q, n, dist, reps, seed)
-        m4 = float(((vals - vals.mean()) ** 4).mean())
-        rows.append(DecayRow(int(n), m4))
-    xs = np.log([r.n for r in rows])
-    ys = np.log([max(r.value, 1e-300) for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope

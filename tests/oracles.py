@@ -6,19 +6,23 @@ formula, circuit counts come from full O(n^word_length) grids, matchings
 from itertools, determinants from exact fraction elimination, eigenvalues
 from cyclic Jacobi rotations, affine case systems from one position walk
 per case over the package's relation table.  It also holds the test
-helpers that enumerate monomials and rotate monomials and words.
+helpers that enumerate monomials and rotate monomials and words, and the
+trace-moment concentration check of acceptance criterion C8.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from patrm.algebra import ColoredWord, Monomial, canonical_letters
+from patrm.freeness import DecayRow
 from patrm.limits import _CASE_RELATIONS
 from patrm.linkfns import LinkKind
+from patrm.sampler import InputDistribution, trace_moment_samples
 
 
 def lvalue_grid(kind_char: str, n: int, a, b):
@@ -61,6 +65,31 @@ def cyclic_rotate(w: ColoredWord, shift: int) -> ColoredWord:
     colors = tuple(w.colors[(i + shift) % n] for i in range(n))
     indices = tuple(w.indices[(i + shift) % n] for i in range(n))
     return ColoredWord(canonical_letters(letters), colors, indices)
+
+
+def concentration_check(
+    q: Monomial,
+    n_list: Sequence[int],
+    dist: InputDistribution,
+    reps: int,
+    seed: int = 0,
+) -> tuple[list[DecayRow], float]:
+    """Fourth central moment of the normalized trace moment per size.
+
+    Returns the per-size values and the fitted log-log slope against n
+    (concentration at rate n^-2 shows up as a slope near -2).
+    """
+    if reps < 50:
+        raise ValueError("need reps >= 50 for a usable fourth-moment estimate")
+    rows = []
+    for n in n_list:
+        vals = trace_moment_samples(q, n, dist, reps, seed)
+        m4 = float(((vals - vals.mean()) ** 4).mean())
+        rows.append(DecayRow(int(n), m4))
+    xs = np.log([r.n for r in rows])
+    ys = np.log([max(r.value, 1e-300) for r in rows])
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return rows, slope
 
 
 def word_pairs(word_text: str) -> list[tuple[int, int]]:

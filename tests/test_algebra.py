@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -44,6 +45,20 @@ def test_enumerate_examples():
     assert [w.text for w in enumerate_pair_matched_words(parse_monomial("THTH"))] == ["abab"]
     assert enumerate_pair_matched_words(parse_monomial("THT")) == []
     assert enumerate_pair_matched_words(parse_monomial("W1T1W2T1")) == []
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a self-referencing closure would keep each call's word list alive
+    # until the cyclic collector runs
+    q = parse_monomial("TTTTTTTT")
+    gc.collect()
+    gc.disable()
+    try:
+        pairs = [match_pairs(w) for w in enumerate_pair_matched_words(q)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(pairs) == 105 and pairs == sorted(pairs)
 
 
 @given(st.lists(st.tuples(st.sampled_from(ALL_KINDS), st.integers(1, 2)), min_size=1, max_size=6))

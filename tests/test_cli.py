@@ -237,6 +237,7 @@ def test_usage_errors_exit_one(capsys):
         pytest.param(
             ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "1000"], id="pcw-exact"
         ),
+        pytest.param(["freeness", "--q", "WWTTTT", "--budget", "5", "--samples", "1000"], id="freeness"),
     ],
 )
 def test_budget_exit_three(capsys, argv):
@@ -264,3 +265,65 @@ def test_non_finite_report_exits_two(capsys):
     code, out, err = run(capsys, "freeness", "--q", "WWHH", "--tol", "nan", "--samples", "1000")
     assert code == EXIT_NUMERIC
     assert out == "" and "non-finite" in err
+
+
+def test_lsd_out_into_missing_directory_exits_one(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "h.csv"
+    code, out, err = run(capsys, "lsd", "--a", "T", "--b", "H", "--n", "32", "--reps", "1", "--out", str(out_path))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("patrm: error: ") and "No such file or directory" in err
+
+
+_META = ["seed", "budget", "version"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        pytest.param(["words", "--q", "TTTTHH"], ["q", "words", "count", *_META], id="words"),
+        pytest.param(
+            ["pcw", "--q", "THTH", "--word", "abab", "--samples", "1000"],
+            ["monomial", "word", "catalan", "cases", "p", "stderr", "method", *_META],
+            id="pcw",
+        ),
+        pytest.param(
+            ["alpha", "--q", "THTH", "--samples", "1000"],
+            ["q", "alpha", "stderr", "bound", "words", "method", *_META],
+            id="alpha",
+        ),
+        pytest.param(
+            ["moments", "--q", "TT", "--n", "16", "--reps", "2", "--samples", "1000"],
+            ["q", "n", "mean", "sd", "reps", "dist", "alpha_limit", *_META, "method"],
+            id="moments",
+        ),
+        pytest.param(
+            ["freeness", "--q", "WWHH", "--samples", "1000"],
+            [
+                "q", "alpha", "alpha_stderr", "free_prediction", "empirical", "empirical_sd",
+                "deviation", "empirical_deviation", "free_within_tol", "tol", "n", *_META, "method",
+            ],
+            id="freeness",
+        ),
+    ],
+)
+def test_report_key_order(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert list(json.loads(out)) == keys
+
+
+def test_lsd_sidecar_key_order(capsys):
+    code, _, err = run(capsys, "lsd", "--a", "T", "--b", "H", "--n", "32", "--reps", "1")
+    assert code == EXIT_OK
+    assert list(json.loads(err)) == [
+        "a", "b", "n", "reps", "seed", "beta", "skewness", "symmetric", "odd_moment_max",
+        "growth", "growth_nondecreasing", "budget", "version", "method",
+    ]
+
+
+@pytest.mark.parametrize("command", ["words", "tables", "pcw", "alpha", "moments", "lsd", "freeness"])
+def test_subcommand_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: patrm {command} ")

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     all_monomials,
     catalan_number,
+    concentration_check,
     matchings_bruteforce,
     noncrossing_matchings_bruteforce,
 )
@@ -18,7 +19,6 @@ from patrm.algebra import (
 )
 from patrm.freeness import (
     alternating_decomposition,
-    concentration_check,
     free_moment_prediction,
     freeness_report,
     sigma_gamma_cycles,
