@@ -22,7 +22,7 @@ import numpy as np
 from . import limits
 from .algebra import Monomial, is_catalan, match_pairs
 from .linkfns import LinkKind
-from .sampler import InputDistribution, empirical_trace_moment, sample_matrix, substream
+from .sampler import InputDistribution, _check_size, empirical_trace_moment, sample_matrix, substream
 
 CyclePermutation = tuple[tuple[int, ...], ...]
 
@@ -171,13 +171,17 @@ def freeness_report(
     The monomial must mix Wigner letters with at least one other kind (the
     freeness claim is specific to the Wigner role).  The empirical column
     is simulated only when reps >= 1 and n >= 1, and is advisory: the
-    verdict compares limit against prediction.
+    verdict compares limit against prediction.  Negative n or reps, and n
+    above the sampler's size cap, fail before any limit is computed.
     """
     kinds = {kind for kind, _ in q.letters}
     if LinkKind.WIGNER not in kinds:
         raise ValueError("freeness check requires at least one Wigner letter")
     if kinds == {LinkKind.WIGNER}:
         raise ValueError("freeness check requires at least one non-Wigner letter")
+    if n < 0 or reps < 0:
+        raise ValueError(f"n and reps must be >= 0, got n={n}, reps={reps}")
+    _check_size(n)
     a_val, a_err = limits.alpha_estimate(q, "mc", samples=samples, seed=seed, budget=budget)
     pred = free_moment_prediction(q, samples=samples, seed=seed, budget=budget)
     emp = emp_sd = emp_dev = None

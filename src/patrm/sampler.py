@@ -18,8 +18,14 @@ import numpy as np
 from .algebra import Monomial
 from .linkfns import ALL_KINDS, LinkKind, lvalue_key_grid
 
+DEFAULT_SIZE_CAP = 1200
 _SQRT3 = math.sqrt(3.0)
 _KIND_CODE = {kind: i for i, kind in enumerate(ALL_KINDS)}
+
+
+def _check_size(n: int) -> None:
+    if n > DEFAULT_SIZE_CAP:
+        raise ValueError(f"matrix size {n} exceeds cap {DEFAULT_SIZE_CAP}")
 
 
 class InputDistribution(enum.Enum):
@@ -85,10 +91,12 @@ def trace_moment_samples(
 
     Within a replicate, letters with equal (kind, index) share one matrix;
     the trace is evaluated by dense products, with the final factor folded
-    into an elementwise contraction.
+    into an elementwise contraction.  n above DEFAULT_SIZE_CAP is rejected
+    before any matrix is drawn.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    _check_size(n)
     k = len(q)
     scale = float(n) ** (1 + k / 2)
     out = np.empty(reps)

@@ -13,22 +13,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .linkfns import LinkKind
-from .sampler import InputDistribution, sample_matrix, substream
+from .sampler import InputDistribution, _check_size, sample_matrix, substream
 
-DEFAULT_SIZE_CAP = 1200
 DEFAULT_BINS = 50
 ESD_PADDING = 0.01
 # relative asymmetry, against the largest entry, that an input may carry
 _SYMMETRY_TOL = 1e-10
 
 
-def _check_size(n: int) -> None:
-    if n > DEFAULT_SIZE_CAP:
-        raise ValueError(f"matrix size {n} exceeds cap {DEFAULT_SIZE_CAP}")
-
-
 def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix of size <= DEFAULT_SIZE_CAP.
+    """Ascending eigenvalues of a symmetric matrix of size <= sampler.DEFAULT_SIZE_CAP.
 
     The eigenvalue sum matches the trace, and the sum of squares the
     squared Frobenius norm, to 1e-8 * |M|_F (checked by the test suite).

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patrm import __version__, limits, spectra
+from patrm import __version__, limits, sampler, spectra
 from patrm.algebra import enumerate_pair_matched_words, parse_monomial
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from patrm.reference_tables import ALL_ROWS
@@ -148,6 +148,27 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["moments", "--q", "TT", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
+        (["freeness", "--q", "WWTT", "--n", "1201", "--reps", "1"], "matrix size 1201 exceeds cap 1200"),
+        (["freeness", "--q", "WWTT", "--n", "-3", "--reps", "2"], "n and reps must be >= 0"),
+        (["freeness", "--q", "WWTT", "--n", "64", "--reps", "-1"], "n and reps must be >= 0"),
+    ],
+    ids=["moments-n-1201", "freeness-n-1201", "freeness-n--3", "freeness-reps--1"],
+)
+def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or computed a limit before checking the size")
+
+    monkeypatch.setattr(sampler, "sample_matrix", no_work)
+    monkeypatch.setattr(limits, "alpha_estimate", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and message in err
+
+
 def test_freeness_command(capsys):
     code, out, _ = run(capsys, "freeness", "--q", "WWHH", "--samples", "100000")
     assert code == EXIT_OK
@@ -214,6 +235,15 @@ def test_nonpositive_samples_exit_one(capsys, argv, samples):
     assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "--samples: must be >= 1" in captured.err
+
+
+def test_non_integer_samples_exit_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha", "--q", "TT", "--samples", "abc"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --samples: expected an integer, got 'abc'" in captured.err
+    assert "_positive_int" not in captured.err
 
 
 def test_usage_errors_exit_one(capsys):

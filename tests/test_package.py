@@ -3,17 +3,6 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import patrm
-
-
-def test_star_import_and_all_names_resolve():
-    namespace = {}
-    exec("from patrm import *", namespace)
-    missing = [name for name in patrm.__all__ if name not in namespace]
-    assert missing == []
-    assert all(getattr(patrm, name) is namespace[name] for name in patrm.__all__)
-    assert len(set(patrm.__all__)) == len(patrm.__all__)
-
 
 def _load_tracing():
     # the benchmark's tracer names the package callables it wraps; it is

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import JacobiConvergenceError, determinant_exact, jacobi_eigenvalues
 from patrm.linkfns import LinkKind
-from patrm.sampler import InputDistribution, sample_matrix, substream
-from patrm.spectra import DEFAULT_SIZE_CAP, Histogram, eigenvalues_symmetric, esd, sum_lsd_report
+from patrm.sampler import DEFAULT_SIZE_CAP, InputDistribution, sample_matrix, substream
+from patrm.spectra import Histogram, eigenvalues_symmetric, esd, sum_lsd_report
 
 GAUSS = InputDistribution.GAUSSIAN
 
