@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=0, help="master RNG seed, taken mod 2^64 (negative seeds alias)"
     )
-    common.add_argument("--budget", type=int, default=limits.DEFAULT_BUDGET, help="max enumeration steps")
+    common.add_argument(
+        "--budget", type=_positive_int, default=limits.DEFAULT_BUDGET, help="max enumeration steps"
+    )
     q = _option("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
     method = _option("--method", choices=limits.METHODS, default="mc")
     samples = _option("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)

@@ -171,8 +171,8 @@ def freeness_report(
     The monomial must mix Wigner letters with at least one other kind (the
     freeness claim is specific to the Wigner role).  The empirical column
     is simulated only when reps >= 1 and n >= 1, and is advisory: the
-    verdict compares limit against prediction.  Negative n or reps, and n
-    above the sampler's size cap, fail before any limit is computed.
+    verdict compares limit against prediction.  Negative n, reps or tol, and
+    n above the sampler's size cap, fail before any limit is computed.
     """
     kinds = {kind for kind, _ in q.letters}
     if LinkKind.WIGNER not in kinds:
@@ -181,6 +181,8 @@ def freeness_report(
         raise ValueError("freeness check requires at least one non-Wigner letter")
     if n < 0 or reps < 0:
         raise ValueError(f"n and reps must be >= 0, got n={n}, reps={reps}")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     _check_size(n)
     a_val, a_err = limits.alpha_estimate(q, "mc", samples=samples, seed=seed, budget=budget)
     pred = free_moment_prediction(q, samples=samples, seed=seed, budget=budget)

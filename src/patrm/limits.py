@@ -10,7 +10,11 @@ resolved by one walk over its positions: each match branches over its
 labels at its second occurrence, so cases sharing a prefix of matches
 share that prefix's forms.  A word's volume is the sum over its
 surviving cases, evaluated by Monte Carlo, or exactly as the leading
-coefficient of the circuit count, a polynomial in odd n.
+coefficient of the circuit count, a polynomial in odd n.  The Monte
+Carlo kernel draws each case's points in fixed-size chunks into reused
+buffers, split over threads that each jump to their own offset of the
+case's one PCG64 stream, so its memory does not grow with the sample
+count and its estimate is the same for any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -23,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,7 +49,9 @@ from .sampler import seed_mod64, seed_sequence
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 5_000_000_000
 METHODS = ("mc", "exact")
-_MC_CHUNK = 1 << 21
+_MC_CHUNK = 1 << 15
+# threads per sampled system, one per usable CPU; the estimate does not depend on it
+_MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Per-kind link relations.  At a second occurrence s matched to the first
 # occurrence f, each case label gives the integer coefficients
@@ -141,8 +149,9 @@ class ConstraintSystem:
 
         Bare generating coordinates are already uniform on [0,1) and are
         skipped; the final vertex is pinned to v0 by the closure identity.
+        Each distinct form is listed once, in first-occurrence order.
         """
-        return [f for _, f in self.dep_forms[:-1] if f.bare_coordinate() is None]
+        return list(dict.fromkeys(f for _, f in self.dep_forms[:-1] if f.bare_coordinate() is None))
 
     def canonical_key(self):
         eq_key = sorted(
@@ -222,12 +231,49 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     return [systems[tuple(case[idx] for idx in order)] for case in build_cases(w)]
 
 
+def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: int) -> int:
+    """Samples of chunks [first, last) that satisfy every inequality form.
+
+    Draws from a copy of the system's PCG64 stream jumped past the earlier
+    chunks' draws (one 64-bit output per float64), so the points are those
+    of one rng.random((samples, dim)) call, and reuses one buffer set.
+    """
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    gen = np.random.Generator(bitgen.advance(first * _MC_CHUNK * dim))
+    pts = np.empty((_MC_CHUNK, dim))
+    y = np.empty(_MC_CHUNK)
+    mask = np.empty(_MC_CHUNK, dtype=bool)
+    ok = np.empty(_MC_CHUNK, dtype=bool)
+    hits = 0
+    for chunk in range(first, last):
+        block = samples - chunk * _MC_CHUNK
+        if block < _MC_CHUNK:
+            # the system's last chunk, the only one that can be short
+            pts, y, mask, ok = pts[:block], y[:block], mask[:block], ok[:block]
+        gen.random(out=pts)
+        mask.fill(True)
+        for coeffs, const in vectors:
+            np.matmul(pts, coeffs, out=y)
+            y += const
+            np.greater_equal(y, 0.0, out=ok)
+            mask &= ok
+            np.less(y, 1.0, out=ok)
+            mask &= ok
+        hits += int(np.count_nonzero(mask))
+    return hits
+
+
 def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     """Volume of one case by uniform sampling of the generating cube.
 
     A failed closure or Wigner identity means the case sits on a proper
     affine subspace: exact zero, no sampling.  A provably empty box check
     (form's range disjoint from [0,1)) also short-circuits to exact zero.
+    Otherwise the samples are drawn in chunks of _MC_CHUNK, split into
+    contiguous ranges over up to _MC_WORKERS threads; each range starts at
+    its own offset of the one stream, so the estimate does not depend on
+    the chunk size or the thread count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -241,19 +287,27 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
         if hi <= 0 or lo >= 1:
             return VolumeEstimate(0.0, 0.0)
     vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
-    rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        block = min(remaining, _MC_CHUNK)
-        pts = rng.random((block, cs.dim))
-        mask = np.ones(block, dtype=bool)
-        for coeffs, const in vectors:
-            y = pts @ coeffs + const
-            mask &= (y >= 0.0) & (y < 1.0)
-        hits += int(mask.sum())
-        remaining -= block
-    p = hits / samples
+    state = np.random.default_rng(seed).bit_generator.state
+    chunks = -(-samples // _MC_CHUNK)
+    workers = min(_MC_WORKERS, chunks)
+    # worker i takes chunks [bounds[i], bounds[i + 1])
+    bounds = [chunks * i // workers for i in range(workers + 1)]
+    counts = [None] * workers
+
+    def work(slot: int) -> None:
+        counts[slot] = _count_hits(state, bounds[slot], bounds[slot + 1], samples, vectors, cs.dim)
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    if None in counts:
+        raise RuntimeError("a Monte Carlo worker thread failed")
+    p = sum(counts) / samples
     stderr = float(np.sqrt(p * (1.0 - p) / samples))
     return VolumeEstimate(p, stderr)
 

@@ -5,7 +5,8 @@ package's solving/enumeration machinery: link values are inlined per
 formula, circuit counts come from full O(n^word_length) grids, matchings
 from itertools, determinants from exact fraction elimination, eigenvalues
 from cyclic Jacobi rotations, affine case systems from one position walk
-per case over the package's relation table.  It also holds the test
+per case over the package's relation table, Monte Carlo case volumes
+from the earlier single-threaded kernel.  It also holds the test
 helpers that enumerate monomials and rotate monomials and words, and the
 trace-moment concentration check of acceptance criterion C8.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from patrm.algebra import ColoredWord, Monomial, canonical_letters
 from patrm.freeness import DecayRow
-from patrm.limits import _CASE_RELATIONS
+from patrm.limits import _CASE_RELATIONS, ConstraintSystem, VolumeEstimate
 from patrm.linkfns import LinkKind
 from patrm.sampler import InputDistribution, trace_moment_samples
 
@@ -299,3 +300,38 @@ def jacobi_eigenvalues(M, tol: float = 1e-10, max_sweeps: int = 50) -> np.ndarra
             A[q, p] = 0.0
     off = float(np.sqrt((np.where(diag_mask, 0.0, A) ** 2).sum()))
     raise JacobiConvergenceError(off / fro, max_sweeps)
+
+
+# block size of the reference kernel; 10^6 samples are one block
+_REFERENCE_CHUNK = 1 << 21
+
+
+def case_volume_mc_reference(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
+    """Single-threaded Monte Carlo case volume: one draw block, one temporary per form."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not cs.identity_ok():
+        return VolumeEstimate(0.0, 0.0)
+    forms = cs.inequality_forms()
+    if not forms:
+        return VolumeEstimate(1.0, 0.0)
+    for form in forms:
+        lo, hi = form.value_interval()
+        if hi <= 0 or lo >= 1:
+            return VolumeEstimate(0.0, 0.0)
+    vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
+    rng = np.random.default_rng(seed)
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        block = min(remaining, _REFERENCE_CHUNK)
+        pts = rng.random((block, cs.dim))
+        mask = np.ones(block, dtype=bool)
+        for coeffs, const in vectors:
+            y = pts @ coeffs + const
+            mask &= (y >= 0.0) & (y < 1.0)
+        hits += int(mask.sum())
+        remaining -= block
+    p = hits / samples
+    stderr = float(np.sqrt(p * (1.0 - p) / samples))
+    return VolumeEstimate(p, stderr)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,8 +156,9 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
         (["freeness", "--q", "WWTT", "--n", "1201", "--reps", "1"], "matrix size 1201 exceeds cap 1200"),
         (["freeness", "--q", "WWTT", "--n", "-3", "--reps", "2"], "n and reps must be >= 0"),
         (["freeness", "--q", "WWTT", "--n", "64", "--reps", "-1"], "n and reps must be >= 0"),
+        (["freeness", "--q", "WWHH", "--tol", "-1"], "tol must be >= 0, got -1.0"),
     ],
-    ids=["moments-n-1201", "freeness-n-1201", "freeness-n--3", "freeness-reps--1"],
+    ids=["moments-n-1201", "freeness-n-1201", "freeness-n--3", "freeness-reps--1", "freeness-tol--1"],
 )
 def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -357,3 +359,46 @@ def test_subcommand_help_exits_zero(capsys, command):
         main([command, "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: patrm {command} ")
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("command", [["alpha", "--q", "WWTT"], ["words", "--q", "WWTT"], ["tables"]])
+def test_budget_below_one_exits_one(capsys, command, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--budget", budget])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--budget: must be >= 1, got {budget}" in captured.err
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (
+            ["alpha", "--q", "THTHTHTH"],
+            '{"q":"THTHTHTH","alpha":2.600921,"stderr":0.0012124982352288188,"bound":1680,"words":9,',
+        ),
+        (
+            ["alpha", "--q", "SSSSSS", "--samples", "200000"],
+            '{"q":"SSSSSS","alpha":15.000609999999998,"stderr":0.0054016749720109964,"bound":120,"words":15,',
+        ),
+    ],
+    ids=["THTHTHTH", "SSSSSS"],
+)
+def test_alpha_mc_golden_bytes(capsys, argv, payload):
+    code, out, err = run(capsys, *argv, "--seed", "21")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == payload + f'"method":"mc","seed":21,"budget":5000000000,"version":"{__version__}"}}\n'
+
+
+def test_tables_mc_golden_bytes(capsys):
+    code, out, err = run(capsys, "tables", "--method", "mc", "--samples", "20000", "--seed", "21")
+    assert code == EXIT_NUMERIC
+    assert out == (_GOLDEN / "tables_mc_samples20000_seed21.csv").read_bytes().decode()
+    assert err == (
+        "tables: |err| > 0.02 for (HHHSHS, aabcbc): 0.1695\n"
+        "tables: |err| > 0.02 for (HHHSHS, abbcac): 0.1707\n"
+    )

@@ -1,12 +1,15 @@
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circuit_count_bruteforce, cyclic_rotate, resolve_case_reference
+from oracles import case_volume_mc_reference, circuit_count_bruteforce, cyclic_rotate, resolve_case_reference
 from patrm import limits
 from patrm.algebra import (
     Monomial,
@@ -16,8 +19,10 @@ from patrm.algebra import (
     word_from_text,
 )
 from patrm.limits import (
+    _MC_CHUNK,
     AffineForm,
     BudgetExceededError,
+    ConstraintSystem,
     alpha,
     alpha_bound,
     alpha_estimate,
@@ -32,6 +37,7 @@ from patrm.limits import (
 )
 from patrm.linkfns import ALL_KINDS, DELTA, LinkKind, solve_branch_grid
 from patrm.reference_tables import ALL_ROWS
+from patrm.sampler import seed_sequence
 
 T = LinkKind.TOEPLITZ
 
@@ -108,6 +114,103 @@ def test_case_volume_thth():
         total += est.value
         var += est.stderr**2
     assert abs(total - 2 / 3) <= 3 * (var**0.5 + 1e-12) + 1e-3
+
+
+def _survivors(word_text, mono):
+    return [cs for cs in resolve_affine(word(word_text, mono)) if cs.identity_ok()]
+
+
+def _repeats_a_form(cs):
+    forms = [f for _, f in cs.dep_forms[:-1] if f.bare_coordinate() is None]
+    return len(set(forms)) < len(forms)
+
+
+# systems of dims 1-5, among them every short-circuit of the kernel
+_C = _MC_CHUNK
+KERNEL_SYSTEMS = {
+    # 2 v1 in [0, 1): volume 1/2
+    "dim1": ConstraintSystem((0,), ((1, AffineForm((2,), 0)), (2, AffineForm((1,), 0))), ()),
+    "no-form": resolve_affine(word("aa", "TT"))[1],
+    "dead": resolve_affine(word("aa", "TT"))[0],
+    # v0 + v1 + 2 lies in [2, 4): provably outside [0, 1)
+    "empty-box": ConstraintSystem(
+        (0, 1), ((2, AffineForm((1, 1), 2)), (3, AffineForm((1, 0), 0))), ()
+    ),
+    "dim3": _survivors("abab", "THTH")[0],
+    "dim4-repeated-form": next(cs for cs in _survivors("abaccb", "TTTTTT") if _repeats_a_form(cs)),
+    "dim5-repeated-form": next(cs for cs in _survivors("aabcbddc", "TTTTTTTT") if _repeats_a_form(cs)),
+    # three forms, none of them provably empty
+    "dim5": resolve_affine(word("abacbdcd", "TTTTTTTT"))[15],
+}
+
+
+def test_kernel_systems_cover_their_labels():
+    assert [cs.dim for cs in KERNEL_SYSTEMS.values()] == [1, 2, 2, 2, 3, 4, 5, 5]
+    assert not KERNEL_SYSTEMS["dead"].identity_ok()
+    assert KERNEL_SYSTEMS["no-form"].inequality_forms() == []
+    assert case_volume_mc(KERNEL_SYSTEMS["empty-box"], 10, seed=0) == (0.0, 0.0)
+    assert len(KERNEL_SYSTEMS["dim5"].inequality_forms()) == 3
+    for name in ("dim1", "dim3", "dim4-repeated-form", "dim5-repeated-form", "dim5"):
+        assert 0.0 < case_volume_mc(KERNEL_SYSTEMS[name], 1000, seed=0).value < 1.0, name
+
+
+@pytest.mark.parametrize("samples", [1, _C - 1, _C, _C + 1, 3 * _C + 7, 10**6])
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_case_volume_mc_equals_single_threaded_reference(monkeypatch, name, samples):
+    cs = KERNEL_SYSTEMS[name]
+    seed = seed_sequence(21, samples)
+    want = case_volume_mc_reference(cs, samples, seed)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(limits, "_MC_WORKERS", workers)
+        assert case_volume_mc(cs, samples, seed) == want, workers
+
+
+def test_case_volume_mc_more_threads_than_cores(monkeypatch):
+    # each thread writes only its own slot; a lost or misplaced count would change the estimate
+    cs = KERNEL_SYSTEMS["dim5"]
+    samples = 20 * _C + 3
+    want = case_volume_mc_reference(cs, samples, seed=9)
+    monkeypatch.setattr(limits, "_MC_WORKERS", 16)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = case_volume_mc(cs, samples, seed=9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_case_volume_mc_memory_does_not_grow_with_samples(monkeypatch, workers):
+    monkeypatch.setattr(limits, "_MC_WORKERS", workers)
+    cs = KERNEL_SYSTEMS["dim5"]
+    # the first sampled call of a process may import modules; keep that out
+    case_volume_mc(cs, 1, seed=3)
+    tracemalloc.start()
+    try:
+        case_volume_mc(cs, 10**6, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of points, one of form values and two masks per worker
+    assert peak <= workers * 2 * 2**20
+
+
+def test_surviving_systems_list_each_form_once():
+    survivors = 0
+    for kind in ALL_KINDS:
+        for length in (2, 4, 6, 8):
+            for w in enumerate_pair_matched_words(Monomial(((kind, 1),) * length)):
+                for cs in resolve_affine(w):
+                    if not cs.identity_ok():
+                        continue
+                    survivors += 1
+                    forms = cs.inequality_forms()
+                    assert len(set(forms)) == len(forms), (w.text, kind)
+                    assert set(forms) == {f for _, f in cs.dep_forms[:-1] if f.bare_coordinate() is None}
+    assert survivors == 2794
 
 
 def test_count_examples():
