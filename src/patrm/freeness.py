@@ -223,10 +223,9 @@ def trace_factorization_check(
         per_power = np.empty((reps, len(powers)))
         for rep in range(reps):
             x = sample_matrix(kind, n, dist, substream(seed, rep, kind, 1))
-            acc = np.eye(n)
-            traces = {}
-            kmax = max(powers)
-            for p in range(1, kmax + 1):
+            acc = x
+            traces = {1: np.trace(x)}
+            for p in range(2, max(powers) + 1):
                 acc = acc @ x
                 traces[p] = np.trace(acc)
             for ci, p in enumerate(powers):

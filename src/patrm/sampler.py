@@ -12,8 +12,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import Monomial
 from .linkfns import ALL_KINDS, LinkKind, lvalue_key_grid
@@ -73,11 +75,31 @@ def sample_matrix(
     dist: InputDistribution,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Unscaled n x n member: one input value per distinct link value."""
+    """Unscaled n x n member: one input value per distinct link value.
+
+    The draws and their cells are those of the key grid gather
+    ``dist.draw(rng, size)[keys]``.  T, H, R and S are constant along
+    (anti-)diagonals, so each is the window view ``u[i + j]`` of one short
+    vector u, copied; only W gathers through ``lvalue_key_grid``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    size, keys = lvalue_key_grid(kind, n)
-    return dist.draw(rng, size)[keys]
+    if kind is LinkKind.WIGNER:
+        size, keys = lvalue_key_grid(kind, n)
+        return dist.draw(rng, size)[keys]
+    if kind is LinkKind.HANKEL:
+        return sliding_window_view(dist.draw(rng, 2 * n - 1), n).copy()
+    if kind is LinkKind.REVERSE_CIRCULANT:
+        v = dist.draw(rng, n)
+        return sliding_window_view(np.concatenate((v, v[:-1])), n).copy()
+    if kind is LinkKind.TOEPLITZ:
+        v = dist.draw(rng, n)
+    else:
+        # the circulant distance min(d, n - d) of d = 0..n-1, as a first row
+        d = np.arange(n)
+        v = dist.draw(rng, n // 2 + 1)[np.minimum(d, n - d)]
+    # row i of the reversed view is v[|j - i|] (T) or v[min(|j - i|, n - |j - i|)] (S)
+    return sliding_window_view(np.concatenate((v[:0:-1], v)), n)[::-1].copy()
 
 
 def trace_moment_samples(
@@ -89,30 +111,39 @@ def trace_moment_samples(
 ) -> np.ndarray:
     """Per-replicate values of the normalized trace of the monomial.
 
-    Within a replicate, letters with equal (kind, index) share one matrix;
-    the trace is evaluated by dense products, with the final factor folded
-    into an elementwise contraction.  n above DEFAULT_SIZE_CAP is rejected
-    before any matrix is drawn.
+    Within a replicate, letters with equal (kind, index) share one matrix.
+    The word is split at k // 2 into halves with products L and R, and
+    tr = sum(L * R.T).  Every ensemble is symmetric, so when the halves of
+    some cyclic rotation are equal letter sequences R = L, and when they
+    are mirror images R = L.T; the first such rotation needs the product L
+    only.  n above DEFAULT_SIZE_CAP is rejected before any matrix is drawn.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_size(n)
     k = len(q)
+    h = k // 2
     scale = float(n) ** (1 + k / 2)
+    letters = list(q.letters)
+    rotations = (letters[r:] + letters[:r] for r in range(k))
+    word = next((w for w in rotations if h and w[h:] in (w[:h], w[h - 1 :: -1])), letters)
     out = np.empty(reps)
     for rep in range(reps):
         mats: dict[tuple[LinkKind, int], np.ndarray] = {}
-        for kind, index in q.letters:
+        for kind, index in letters:
             if (kind, index) not in mats:
                 mats[(kind, index)] = sample_matrix(kind, n, dist, substream(seed, rep, kind, index))
-        seq = [mats[(kind, index)] for kind, index in q.letters]
         if k == 1:
-            tr = float(np.trace(seq[0]))
+            tr = float(np.trace(mats[letters[0]]))
         else:
-            prod = seq[0]
-            for m in seq[1:-1]:
-                prod = prod @ m
-            tr = float((prod * seq[-1].T).sum())
+            left = reduce(np.matmul, [mats[x] for x in word[:h]])
+            if word[h:] == word[:h]:
+                right = left
+            elif word[h:] == word[h - 1 :: -1]:
+                right = left.T
+            else:
+                right = reduce(np.matmul, [mats[x] for x in word[h:]])
+            tr = float((left * right.T).sum())
         out[rep] = tr / scale
     return out
 

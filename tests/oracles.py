@@ -6,9 +6,11 @@ formula, circuit counts come from full O(n^word_length) grids, matchings
 from itertools, determinants from exact fraction elimination, eigenvalues
 from cyclic Jacobi rotations, affine case systems from one position walk
 per case over the package's relation table, Monte Carlo case volumes
-from the earlier single-threaded kernel.  It also holds the test
-helpers that enumerate monomials and rotate monomials and words, and the
-trace-moment concentration check of acceptance criterion C8.
+from the earlier single-threaded kernel, patterned matrices from a key
+grid gather and trace moments from a left-to-right product chain.  It
+also holds the test helpers that enumerate monomials and rotate
+monomials and words, and the trace-moment concentration check of
+acceptance criterion C8.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from patrm.algebra import ColoredWord, Monomial, canonical_letters
 from patrm.freeness import DecayRow
 from patrm.limits import _CASE_RELATIONS, ConstraintSystem, VolumeEstimate
-from patrm.linkfns import LinkKind
-from patrm.sampler import InputDistribution, trace_moment_samples
+from patrm.linkfns import LinkKind, lvalue_key_grid
+from patrm.sampler import InputDistribution, substream, trace_moment_samples
 
 
 def lvalue_grid(kind_char: str, n: int, a, b):
@@ -335,3 +337,34 @@ def case_volume_mc_reference(cs: ConstraintSystem, samples: int, seed) -> Volume
     p = hits / samples
     stderr = float(np.sqrt(p * (1.0 - p) / samples))
     return VolumeEstimate(p, stderr)
+
+
+def sample_matrix_reference(kind: LinkKind, n: int, dist: InputDistribution, rng: np.random.Generator) -> np.ndarray:
+    """Patterned matrix by gathering one flat vector of draws through the n x n key grid."""
+    size, keys = lvalue_key_grid(kind, n)
+    return dist.draw(rng, size)[keys]
+
+
+def trace_moment_reference(q: Monomial, n: int, dist: InputDistribution, reps: int, seed: int) -> np.ndarray:
+    """Normalized traces per replicate by one left-to-right product chain over the word.
+
+    The last factor is folded into an elementwise contraction, as the
+    sampler did before it contracted half products.
+    """
+    k = len(q)
+    out = np.empty(reps)
+    for rep in range(reps):
+        mats = {
+            (kind, index): sample_matrix_reference(kind, n, dist, substream(seed, rep, kind, index))
+            for kind, index in set(q.letters)
+        }
+        seq = [mats[letter] for letter in q.letters]
+        if k == 1:
+            tr = float(np.trace(seq[0]))
+        else:
+            prod = seq[0]
+            for m in seq[1:-1]:
+                prod = prod @ m
+            tr = float((prod * seq[-1].T).sum())
+        out[rep] = tr / float(n) ** (1 + k / 2)
+    return out

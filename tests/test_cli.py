@@ -394,6 +394,28 @@ def test_alpha_mc_golden_bytes(capsys, argv, payload):
     assert out == payload + f'"method":"mc","seed":21,"budget":5000000000,"version":"{__version__}"}}\n'
 
 
+@pytest.mark.parametrize("a,b", [("T", "H"), ("R", "S"), ("W", "S")])
+def test_lsd_golden_bytes(capsys, a, b):
+    # stdout is the histogram CSV; the .err file is the stderr report up to its version field
+    code, out, err = run(capsys, "lsd", "--a", a, "--b", b, "--n", "64", "--reps", "2", "--seed", "21")
+    stem = _GOLDEN / f"lsd_{a}{b}_n64_reps2_seed21"
+    assert code == EXIT_OK
+    assert out == stem.with_suffix(".csv").read_bytes().decode()
+    assert err == stem.with_suffix(".err").read_bytes().decode() + (
+        f'"version":"{__version__}","method":"simulation"}}\n'
+    )
+
+
+def test_moments_golden_bytes(capsys):
+    code, out, err = run(capsys, "moments", "--q", "TT", "--n", "64", "--reps", "3", "--seed", "21")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        '{"q":"TT","n":64,"mean":0.98961546010220358,"sd":0.16118766349636476,"reps":3,'
+        '"dist":"gaussian","alpha_limit":1,"seed":21,"budget":5000000000,'
+        f'"version":"{__version__}","method":"simulation"}}\n'
+    )
+
+
 def test_tables_mc_golden_bytes(capsys):
     code, out, err = run(capsys, "tables", "--method", "mc", "--samples", "20000", "--seed", "21")
     assert code == EXIT_NUMERIC

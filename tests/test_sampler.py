@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import sample_matrix_reference, trace_moment_reference
 from patrm.algebra import parse_monomial
 from patrm.limits import alpha
 from patrm.linkfns import ALL_KINDS, LinkKind, lvalue_key_grid
@@ -111,3 +112,57 @@ def test_shared_copies_within_replicate():
     est_diff = empirical_trace_moment(parse_monomial("W1T1W2T2"), 200, GAUSS, 60, seed=3)
     assert est_same.mean == pytest.approx(0.0, abs=0.08)
     assert est_diff.mean == pytest.approx(0.0, abs=0.08)
+
+
+@pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.char)
+def test_sample_matrix_equals_key_grid_gather(kind, dist):
+    for n in [*range(1, 34), 255, 256, 800, 1000]:
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        m = sample_matrix(kind, n, dist, rng)
+        ref = sample_matrix_reference(kind, n, dist, ref_rng)
+        assert m.shape == (n, n) and m.flags.c_contiguous
+        assert m.tobytes() == ref.tobytes(), n
+        # both consumed the same number of draws
+        assert rng.random() == ref_rng.random(), n
+
+
+# word -> dense products per replicate: matching halves need one half product
+CONTRACTION_PRODUCTS = {
+    "T": 0,
+    "TT": 0,
+    "THT": 1,
+    "THTH": 1,
+    "HHHH": 1,
+    "S1S2S1S2": 1,
+    "RRSS": 1,
+    "THHT": 1,
+    "W1T1W2T1": 2,
+    "TTHTH": 3,
+    "W1T1W2T2HH": 4,
+}
+
+
+@pytest.mark.parametrize("seed", [4, 29])
+@pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
+@pytest.mark.parametrize("text", sorted(CONTRACTION_PRODUCTS))
+def test_trace_moment_samples_equals_product_chain(text, dist, seed):
+    q = parse_monomial(text)
+    got = trace_moment_samples(q, 24, dist, 3, seed)
+    ref = trace_moment_reference(q, 24, dist, 3, seed)
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+    if len(q) <= 2:
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("text", sorted(CONTRACTION_PRODUCTS))
+def test_trace_moment_samples_product_count(monkeypatch, text):
+    calls = []
+
+    def counting_matmul(a, b):
+        calls.append(1)
+        return a @ b
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    trace_moment_samples(parse_monomial(text), 8, GAUSS, 2, 0)
+    assert len(calls) == 2 * CONTRACTION_PRODUCTS[text]
