@@ -8,13 +8,16 @@ integer coefficients over the generating vertices; the normalized count
 then converges to the volume of a box slice.  All cases of a word are
 resolved by one walk over its positions: each match branches over its
 labels at its second occurrence, so cases sharing a prefix of matches
-share that prefix's forms.  A word's volume is the sum over its
-surviving cases, evaluated by Monte Carlo, or exactly as the leading
-coefficient of the circuit count, a polynomial in odd n.  The Monte
-Carlo kernel draws each case's points in fixed-size chunks into reused
-buffers, split over threads that each jump to their own offset of the
-case's one PCG64 stream, so its memory does not grow with the sample
-count and its estimate is the same for any number of threads.
+share that prefix's forms.  A prefix is dropped at a Wigner match whose
+endpoint identification fails, since every case below it has volume
+zero; the walk returns the other cases in build_cases order.  A word's
+volume is the sum over its surviving cases, evaluated by Monte Carlo,
+or exactly as the leading coefficient of the circuit count, a
+polynomial in odd n.  The Monte Carlo kernel draws each case's points
+in fixed-size chunks into reused buffers, split over threads that each
+jump to their own offset of the case's one PCG64 stream, so its memory
+does not grow with the sample count and its estimate is the same for
+any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -192,7 +195,7 @@ def build_cases(w: ColoredWord) -> list[CaseLabel]:
 
 
 def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
-    """Affine systems of all the word's cases, in build_cases order, from one walk.
+    """Systems of the cases that pass their Wigner identifications, in build_cases order.
 
     The second occurrences are taken in position order, and each extends
     every label prefix built so far by each label of its match, so a
@@ -201,7 +204,11 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     s matched to first occurrence f, v_s is determined from v_{s-1},
     v_{f-1}, v_f by the label's relation.  A Wigner label also pins
     v_{s-1}: the unordered edges {v_{s-1}, v_s} and {v_{f-1}, v_f}
-    coincide, so v_{s-1} = v_{f-1} + v_f - v_s.
+    coincide, so v_{s-1} = v_{f-1} + v_f - v_s.  Both sides of that
+    equality are final once formed, so a prefix whose two sides differ
+    is dropped there, with every case below it.  Closure is left to
+    identity_ok, and no prefix is dropped by value_interval, so the
+    zero-volume systems keep their place in p_limit's seed numbering.
     """
     pairs = match_pairs(w)
     relations = _match_relations(w)
@@ -211,9 +218,11 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     steps = sorted((s, f, idx) for idx, (f, s) in enumerate(pairs))
     # (labels in step order, forms by position, dependent forms, equalities)
     prefixes = [((), (coords[0],), (), ())]
+    resolved = 1  # positions with a form in every prefix
     for s, f, idx in steps:
         # the first occurrences since the last step, the same for every prefix
-        gap = tuple(coords[pos] for pos in range(len(prefixes[0][1]), s))
+        gap = tuple(coords[pos] for pos in range(resolved, s))
+        resolved = s + 1
         wigner = w.colors[s - 1] is LinkKind.WIGNER
         grown = []
         for labels, forms, dep, equalities in prefixes:
@@ -223,12 +232,19 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
                 form = _combine(weights, (prev, va, vb), shift)
                 eqs = equalities
                 if wigner:
-                    eqs += ((prev, _combine((1, 1, -1), (va, vb, form), 0)),)
+                    pinned = _combine((1, 1, -1), (va, vb, form), 0)
+                    if pinned != prev:
+                        continue
+                    eqs += ((prev, pinned),)
                 grown.append((labels + (label,), forms + (form,), dep + ((s, form),), eqs))
         prefixes = grown
-    systems = {labels: ConstraintSystem(gen_positions, dep, eqs) for labels, _, dep, eqs in prefixes}
-    order = [idx for _, _, idx in steps]
-    return [systems[tuple(case[idx] for idx in order)] for case in build_cases(w)]
+    # step slot of each match, to key the survivors by their labels in match order
+    slot_of = sorted(range(len(steps)), key=lambda slot: steps[slot][2])
+    systems = {
+        tuple([labels[slot] for slot in slot_of]): ConstraintSystem(gen_positions, dep, eqs)
+        for labels, _, dep, eqs in prefixes
+    }
+    return [systems[case] for case in build_cases(w) if case in systems]
 
 
 def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: int) -> int:
@@ -424,6 +440,7 @@ def p_limit(
     if not systems:
         return VolumeEstimate(0.0, 0.0)
     if method == "exact":
+        # odd n only: even-n counts of words that mix T and S have period 4 in n
         diffs = [count_circuits_exact(w, n, budget=budget) for n in range(2 * k + 5, 0, -2)]
         for _ in range(k + 1):
             diffs = [a - b for a, b in zip(diffs, diffs[1:])]

@@ -1,4 +1,7 @@
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from oracles import (
@@ -246,3 +249,25 @@ def test_concentration_slope():
         assert slope < -1.0
     with pytest.raises(ValueError):
         concentration_check(parse_monomial("TT"), (64,), GAUSS, reps=10)
+
+
+def test_sweep_values_golden_bytes():
+    # alpha and the free prediction, to 17 significant digits, of every
+    # {W,R} and {W,T} monomial of length 2..6 that holds both kinds, as the
+    # freeness sweep computes them.  The file was written before the case
+    # walk dropped prefixes at a failed Wigner identification: the
+    # surviving systems, their order and so each system's MC stream are
+    # unchanged.
+    rows = ["monomial,alpha,prediction"]
+    for other in (LinkKind.REVERSE_CIRCULANT, T):
+        for length in range(2, 7):
+            for colors in itertools.product((W, other), repeat=length):
+                if len(set(colors)) < 2:
+                    continue
+                q = Monomial(tuple((c, 1) for c in colors))
+                a = alpha(q, "mc", samples=2000, seed=21)
+                pred = free_moment_prediction(q, samples=2000, seed=21)
+                rows.append(f"{q},{a:.17g},{pred:.17g}")
+    assert len(rows) == 1 + 2 * sum(2**length - 2 for length in range(2, 7)) == 229
+    golden = Path(__file__).resolve().parent / "golden" / "sweep_WR_WT_len2to6_samples2000_seed21.csv"
+    assert "\n".join(rows) + "\n" == golden.read_text()

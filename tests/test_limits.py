@@ -54,11 +54,13 @@ def test_build_cases_counts():
 
 
 def test_resolve_single_pair_full_volume():
-    for kind in "WTHRS":
+    # W keeps only its straight identification (C2 fails at the match);
+    # T, H, R and S keep every case, closure failures included
+    for kind, systems in zip("WTHRS", (1, 2, 1, 3, 6)):
         w = word("aa", kind * 2)
-        total = 0.0
-        for cs in resolve_affine(w):
-            total += case_volume_mc(cs, 1000, seed=0).value
+        resolved = resolve_affine(w)
+        assert len(resolved) == systems, kind
+        total = sum(case_volume_mc(cs, 1000, seed=0).value for cs in resolved)
         assert total == pytest.approx(1.0)
 
 
@@ -87,9 +89,10 @@ def test_toeplitz_quadruple_survivors_match_exact_count():
 
 def test_wigner_crossing_case_contributes_zero():
     w = word("abab", "WTWT")
-    for cs in resolve_affine(w):
-        assert not cs.identity_ok()
-        assert case_volume_mc(cs, 100, seed=0).value == 0.0
+    # every one of the four cases fails a Wigner identification at its match
+    assert len(build_cases(w)) == 4
+    assert resolve_affine(w) == []
+    assert p_limit(w, "mc", samples=100) == (0.0, 0.0)
     # normalized counts decay like 1/n: the limit is zero
     r50 = count_circuits_exact(w, 50) / 50**3
     r100 = count_circuits_exact(w, 100) / 100**3
@@ -318,6 +321,12 @@ def test_exact_counts_odd_sizes_largest_first(monkeypatch):
     assert sizes == [11, 9, 7, 5, 3, 1]
 
 
+def test_exact_route_counts_at_odd_sizes_for_mixed_toeplitz_circulant_word():
+    # even-n counts of words mixing T and S have period 4 in n, so an
+    # even-n fit of this word reads 11/16; the exact route's sizes must stay odd
+    assert p_limit(word("abcbca", "TTSTST"), "exact").value == 2 / 3
+
+
 def test_exact_word_without_surviving_system_is_zero_uncounted(monkeypatch):
     # over odd n this word's counts are not a polynomial; its volume is
     # zero because no constraint system survives, decided before counting
@@ -480,12 +489,25 @@ REFERENCE_WORDS = [
 
 
 def test_resolve_affine_equals_reference_walk():
+    # the walk keeps exactly the cases whose Wigner equalities all hold as
+    # identities, resolved as the reference resolves them, in build_cases
+    # order; closure failures are kept for identity_ok
     assert len(REFERENCE_WORDS) == 5 * 1 + 25 * 3 + 125 * 15 + 3 == 1958
+    kept = omitted = closure_failures = 0
     for word_text, colors in REFERENCE_WORDS:
         w = word(word_text, colors)
         got = [(cs.gen_positions, cs.dep_forms, cs.equalities) for cs in resolve_affine(w)]
-        want = [resolve_case_reference(word_text, colors, case) for case in build_cases(w)]
+        want = []
+        for case in build_cases(w):
+            ref = resolve_case_reference(word_text, colors, case)
+            if all(a == b for a, b in ref[2]):
+                want.append(ref)
+                closure_failures += AffineForm(*ref[1][-1][1]).bare_coordinate() != 0
+            else:
+                omitted += 1
         assert got == want, (word_text, colors)
+        kept += len(want)
+    assert (kept, omitted, closure_failures) == (30291, 12884, 27735)
 
 
 def test_alpha_estimate_stderr_combines():
