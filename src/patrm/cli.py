@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="master RNG seed, taken mod 2^64 (negative seeds alias)"
     )
     common.add_argument(
-        "--budget", type=_positive_int, default=limits.DEFAULT_BUDGET, help="max enumeration steps"
+        "--budget", type=_positive_int, default=limits.DEFAULT_BUDGET,
+        help="max enumeration steps; exact volumes are charged per integration branch",
     )
     q = _option("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
     method = _option("--method", choices=limits.METHODS, default="mc")

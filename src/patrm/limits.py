@@ -12,12 +12,13 @@ share that prefix's forms.  A prefix is dropped at a Wigner match whose
 endpoint identification fails, since every case below it has volume
 zero; the walk returns the other cases in build_cases order.  A word's
 volume is the sum over its surviving cases, evaluated by Monte Carlo,
-or exactly as the leading coefficient of the circuit count, a
-polynomial in odd n.  The Monte Carlo kernel draws each case's points
-in fixed-size chunks into reused buffers, split over threads that each
-jump to their own offset of the case's one PCG64 stream, so its memory
-does not grow with the sample count and its estimate is the same for
-any number of threads.
+or exactly: each case is a rational polytope in the unit box, whose
+volume is integrated one coordinate at a time (Fourier-Motzkin) in
+integer and Fraction arithmetic.  The Monte Carlo kernel draws each
+case's points in fixed-size chunks into reused buffers, split over
+threads that each jump to their own offset of the case's one PCG64
+stream, so its memory does not grow with the sample count and its
+estimate is the same for any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -33,6 +34,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -84,7 +86,7 @@ CaseLabel = tuple
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact enumeration would exceed the work budget."""
+    """Raised when an enumeration or an exact integration would exceed the work budget."""
 
 
 class AffineForm(NamedTuple):
@@ -328,6 +330,150 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     return VolumeEstimate(p, stderr)
 
 
+class BranchBudget:
+    """Integration branches one p_limit call may take; charge() raises past the limit."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self) -> None:
+        self.spent += 1
+        if self.spent > self.limit:
+            raise BudgetExceededError(
+                f"exact integration needs more than {self.limit} branches, budget is {self.limit:.2e}"
+            )
+
+
+# A row (a_0, ..., a_{d-1}, b) of an integrated system stands for a . x + b >= 0;
+# a polynomial is a dict from exponent tuples over all d coordinates to coefficients.
+
+
+def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The row divided by the gcd of its entries, so equal half-spaces get equal rows."""
+    g = math.gcd(*row)
+    return row if g <= 1 else tuple(c // g for c in row)
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _bound(row: tuple[int, ...], j: int) -> dict:
+    """The bound -(a . x + b - a_j x_j) / a_j that the row puts on x_j, as a polynomial."""
+    d, a_j = len(row) - 1, row[j]
+    poly = {
+        tuple(int(t == i) for t in range(d)): Fraction(-c, a_j) for i, c in enumerate(row[:d]) if c and i != j
+    }
+    if row[d]:
+        poly[(0,) * d] = Fraction(-row[d], a_j)
+    return poly
+
+
+def _integral_between(poly: dict, j: int, lower: dict, upper: dict) -> dict:
+    """The integral of poly over x_j from lower to upper, both polynomials free of x_j."""
+    top = max(e[j] for e in poly) + 1
+    lower_pows, upper_pows = [None, lower], [None, upper]
+    for _ in range(top - 1):
+        lower_pows.append(_poly_mul(lower_pows[-1], lower))
+        upper_pows.append(_poly_mul(upper_pows[-1], upper))
+    out: dict = {}
+    for exps, c in poly.items():
+        e = exps[j] + 1
+        rest = exps[:j] + (0,) + exps[j + 1:]
+        coef = Fraction(c, e)
+        for sign, pows in ((coef, upper_pows), (-coef, lower_pows)):
+            for te, tc in pows[e].items():
+                key = tuple(a + b for a, b in zip(te, rest))
+                out[key] = out.get(key, 0) + sign * tc
+    return {e: c for e, c in out.items() if c}
+
+
+def case_volume_exact(cs: ConstraintSystem, budget: BranchBudget) -> Fraction:
+    """Exact volume of one case, by integrating out one coordinate at a time.
+
+    The case is the polytope of x in [0,1]^d with 0 <= f(x) <= 1 for each
+    inequality form f, written as integer rows f >= 0 and 1 - f >= 0
+    reduced by their gcd.  Each step drops the rows the unit box makes
+    redundant, returns 0 where the box leaves a row empty or of measure
+    zero, and integrates out the live coordinate with the fewest
+    (lower x upper) bound pairs, counting the box's own bounds: for each
+    pair, as the greatest lower and least upper bound, it adds the rows
+    that order the bounds (Fourier-Motzkin), integrates the polynomial
+    integrand between them and recurses.  Rows are kept as a set, so a
+    bound is never paired twice; the tie sets of distinct bounds have
+    measure zero.  Each step is memoized on its rows, live coordinates
+    and integrand, and every pair taken is charged to the budget.
+    A failed closure or Wigner identity is exact zero, as under sampling.
+    """
+    if not cs.identity_ok():
+        return Fraction(0)
+    d = cs.dim
+    rows = set()
+    for f in cs.inequality_forms():
+        rows.add(_reduced((*f.coeffs, f.const)))
+        rows.add(_reduced((*(-c for c in f.coeffs), 1 - f.const)))
+    memo: dict = {}
+
+    def integrate(rows, live: tuple[int, ...], poly: dict) -> Fraction:
+        kept = []
+        for row in rows:
+            # the row's least and greatest value over the unit box of the live coordinates
+            least = row[d] + sum(row[i] for i in live if row[i] < 0)
+            most = row[d] + sum(row[i] for i in live if row[i] > 0)
+            if least >= 0:
+                continue
+            if most <= 0:
+                return Fraction(0)
+            kept.append(row)
+        if not kept:
+            return sum((Fraction(c, math.prod(e + 1 for e in exps)) for exps, c in poly.items()), Fraction(0))
+        key = (frozenset(kept), live, frozenset(poly.items()))
+        if key in memo:
+            return memo[key]
+        j = min(live, key=lambda i: (1 + sum(r[i] > 0 for r in kept)) * (1 + sum(r[i] < 0 for r in kept)))
+        box = tuple(int(i == j) for i in range(d))
+        lowers = [r for r in kept if r[j] > 0] + [(*box, 0)]
+        uppers = [r for r in kept if r[j] < 0] + [(*(-c for c in box), 1)]
+        rest = [r for r in kept if r[j] == 0]
+        sub = tuple(i for i in live if i != j)
+        total = Fraction(0)
+        for low in lowers:
+            # low's bound on x_j is at least each other lower row's: a row free of x_j
+            low_rows = [
+                tuple(low[j] * b - other[j] * a for a, b in zip(low, other)) for other in lowers if other is not low
+            ]
+            for high in uppers:
+                budget.charge()
+                new = rest + low_rows
+                # high's bound is at most each other upper row's, and at least low's
+                new += [
+                    tuple(other[j] * a - high[j] * b for a, b in zip(high, other))
+                    for other in uppers
+                    if other is not high
+                ]
+                new.append(tuple(low[j] * b - high[j] * a for a, b in zip(low, high)))
+                reduced = set()
+                for r in new:
+                    if any(r[:d]):
+                        reduced.add(_reduced(r))
+                    elif r[d] < 0:
+                        break
+                else:
+                    inner = _integral_between(poly, j, _bound(low, j), _bound(high, j))
+                    if inner:
+                        total += integrate(reduced, sub, inner)
+        memo[key] = total
+        return total
+
+    return integrate(rows, tuple(range(d)), {(0,) * d: 1})
+
+
 def exact_count_work(w: ColoredWord, n: int) -> int:
     """Elementary-step estimate of the dynamic-construction enumeration."""
     pairs = match_pairs(w)
@@ -409,17 +555,14 @@ def p_limit(
     Zero when no deduplicated constraint system survives.  "mc": sum of
     Monte-Carlo volumes of the surviving systems, drawn from a stream
     derived from the seed (mod 2^64) and the word without copy indices.
-    "exact": over odd n the circuit count is a polynomial of degree
-    <= k+1 whose leading coefficient is the volume, read with stderr 0
-    off the finite differences of exact counts at n = 2k+5, 2k+3, ..., 1;
-    the spare point checks the fit (ArithmeticError if not), and the
-    largest count comes first, so an over-budget request fails at once.
+    "exact": sum of the systems' exact volumes (case_volume_exact), with
+    the integration branches of all of them charged against one budget,
+    returned as the correctly rounded float of that rational, stderr 0.
     samples < 1 is a ValueError on either route, whatever the word.
     """
     _check_request(method, samples)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
-    k = len(w) // 2
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
         return VolumeEstimate(0.0, 0.0)
@@ -440,14 +583,9 @@ def p_limit(
     if not systems:
         return VolumeEstimate(0.0, 0.0)
     if method == "exact":
-        # odd n only: even-n counts of words that mix T and S have period 4 in n
-        diffs = [count_circuits_exact(w, n, budget=budget) for n in range(2 * k + 5, 0, -2)]
-        for _ in range(k + 1):
-            diffs = [a - b for a, b in zip(diffs, diffs[1:])]
-        if diffs[0] != diffs[1]:
-            raise ArithmeticError(f"circuit counts of {w.text} are not a degree-{k + 1} polynomial in odd n")
-        # the (k+1)-th difference at step 2 is (k+1)! 2^(k+1) times the leading coefficient
-        return VolumeEstimate(diffs[0] / (math.factorial(k + 1) * 2 ** (k + 1)), 0.0)
+        branches = BranchBudget(budget)
+        total = sum((case_volume_exact(cs, branches) for cs in systems), Fraction(0))
+        return VolumeEstimate(float(total), 0.0)
 
     word_seed = _word_seed(seed_mod64(seed), drop_indices(w))
     return _sum_estimates(

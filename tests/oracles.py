@@ -5,9 +5,11 @@ package's solving/enumeration machinery: link values are inlined per
 formula, circuit counts come from full O(n^word_length) grids, matchings
 from itertools, determinants from exact fraction elimination, eigenvalues
 from cyclic Jacobi rotations, affine case systems from one position walk
-per case over the package's relation table, Monte Carlo case volumes
-from the earlier single-threaded kernel, patterned matrices from a key
-grid gather and trace moments from a left-to-right product chain.  It
+per case over the package's relation table, exact word volumes from
+finite differences of the package's exact circuit counts (which the
+brute-force counts check), Monte Carlo case volumes from the earlier
+single-threaded kernel, patterned matrices from a key grid gather and
+trace moments from a left-to-right product chain.  It
 also holds the test helpers that enumerate monomials and rotate
 monomials and words, and the trace-moment concentration check of
 acceptance criterion C8.
@@ -16,6 +18,7 @@ acceptance criterion C8.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,7 +26,13 @@ import numpy as np
 
 from patrm.algebra import ColoredWord, Monomial, canonical_letters
 from patrm.freeness import DecayRow
-from patrm.limits import _CASE_RELATIONS, ConstraintSystem, VolumeEstimate
+from patrm.limits import (
+    _CASE_RELATIONS,
+    DEFAULT_BUDGET,
+    ConstraintSystem,
+    VolumeEstimate,
+    count_circuits_exact,
+)
 from patrm.linkfns import LinkKind, lvalue_key_grid
 from patrm.sampler import InputDistribution, substream, trace_moment_samples
 
@@ -199,6 +208,28 @@ def resolve_case_reference(word_text: str, colors_text: str, case: tuple):
         forms[pos] = form
         dep.append((pos, form))
     return gen_positions, tuple(dep), tuple(equalities)
+
+
+def volume_from_odd_counts(w: ColoredWord, budget: int = DEFAULT_BUDGET) -> Fraction:
+    """A word's volume read off its exact circuit counts at odd n.
+
+    Over odd n the count of a word with a surviving constraint system is a
+    polynomial of degree <= k+1 whose leading coefficient is the volume:
+    the (k+1)-th finite difference at step 2 is (k+1)! 2^(k+1) times it.
+    The counts are taken at n = 2k+5, 2k+3, ..., 1, largest first, so an
+    over-budget request fails at once; the spare point checks the fit
+    (ArithmeticError if not).  Only odd n: even-n counts of words that mix
+    T and S have period 4 in n.  The word must have a surviving system:
+    without one the counts need not be a polynomial, and 48 of the 1470
+    length-8 {W,T} words, abcabcdd/WTTWTTSS among them, fail the fit.
+    """
+    k = len(w) // 2
+    diffs = [count_circuits_exact(w, n, budget=budget) for n in range(2 * k + 5, 0, -2)]
+    for _ in range(k + 1):
+        diffs = [a - b for a, b in zip(diffs, diffs[1:])]
+    if diffs[0] != diffs[1]:
+        raise ArithmeticError(f"circuit counts of {w.text} are not a degree-{k + 1} polynomial in odd n")
+    return Fraction(diffs[0], math.factorial(k + 1) * 2 ** (k + 1))
 
 
 def catalan_number(k: int) -> int:

@@ -264,10 +264,12 @@ def test_usage_errors_exit_one(capsys):
     [
         pytest.param(["alpha", "--q", "W" * 30, "--budget", "1000"], id="alpha"),
         pytest.param(["words", "--q", "W" * 30, "--budget", "1000"], id="words"),
-        # an exact count over budget fails; it does not fall back to mc
-        pytest.param(["alpha", "--q", "TTTT", "--method", "exact", "--budget", "1000"], id="alpha-exact"),
+        # an exact integration over budget fails; it does not fall back to mc.
+        # 15 words x 6 letters and 27 cases fit 100; abcabc's 112 branches do not
+        pytest.param(["alpha", "--q", "RRRRRR", "--method", "exact", "--budget", "100"], id="alpha-exact"),
+        # 4 cases fit 10; abab's 12 branches do not
         pytest.param(
-            ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "1000"], id="pcw-exact"
+            ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "10"], id="pcw-exact"
         ),
         pytest.param(["freeness", "--q", "WWTTTT", "--budget", "5", "--samples", "1000"], id="freeness"),
     ],
@@ -276,6 +278,8 @@ def test_budget_exit_three(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BUDGET
     assert out == "" and "budget" in err
+    if "exact" in argv:
+        assert "exact integration needs more than" in err
 
 
 def test_case_product_budget_exit_three(capsys):
@@ -283,14 +287,6 @@ def test_case_product_budget_exit_three(capsys):
     code, out, err = run(capsys, "alpha", "--q", "SSSSSS", "--budget", "100")
     assert code == EXIT_BUDGET
     assert out == "" and "216 affine cases" in err
-
-
-def test_failed_exact_check_exits_two(capsys, monkeypatch):
-    # counts that are no polynomial in n fail the exact route's fit check
-    monkeypatch.setattr(limits, "count_circuits_exact", lambda w, n, *, budget: 2**n)
-    code, out, err = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--method", "exact")
-    assert code == EXIT_NUMERIC
-    assert out == "" and "numerical check failed" in err
 
 
 def test_non_finite_report_exits_two(capsys):

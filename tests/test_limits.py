@@ -9,18 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import case_volume_mc_reference, circuit_count_bruteforce, cyclic_rotate, resolve_case_reference
+import oracles
+from oracles import (
+    case_volume_mc_reference,
+    circuit_count_bruteforce,
+    cyclic_rotate,
+    resolve_case_reference,
+    volume_from_odd_counts,
+)
 from patrm import limits
 from patrm.algebra import (
     Monomial,
     enumerate_pair_matched_words,
+    is_catalan,
     match_pairs,
     parse_monomial,
     word_from_text,
 )
 from patrm.limits import (
     _MC_CHUNK,
+    DEFAULT_BUDGET,
     AffineForm,
+    BranchBudget,
     BudgetExceededError,
     ConstraintSystem,
     alpha,
@@ -28,6 +38,7 @@ from patrm.limits import (
     alpha_estimate,
     build_cases,
     case_count,
+    case_volume_exact,
     case_volume_mc,
     count_circuits_exact,
     p_limit,
@@ -309,6 +320,15 @@ def test_p_limit_exact_full_volume_words(word_text, mono):
     assert p_limit(word(word_text, mono), "exact") == (1.0, 0.0)
 
 
+def exact_volume(w) -> Fraction:
+    """The rational that p_limit's exact route rounds: its survivors' exact volumes, summed."""
+    if not w.is_color_consistent():
+        return Fraction(0)
+    survivors = {cs.canonical_key(): cs for cs in resolve_affine(w) if cs.identity_ok()}
+    branches = BranchBudget(DEFAULT_BUDGET)
+    return sum((case_volume_exact(cs, branches) for cs in survivors.values()), Fraction(0))
+
+
 def test_exact_counts_odd_sizes_largest_first(monkeypatch):
     sizes = []
 
@@ -316,25 +336,102 @@ def test_exact_counts_odd_sizes_largest_first(monkeypatch):
         sizes.append(n)
         return count_circuits_exact(w, n, budget=budget)
 
-    monkeypatch.setattr(limits, "count_circuits_exact", recording)
-    assert p_limit(word("abcabc", "RRHRRH"), "exact").value == 2 / 3
+    monkeypatch.setattr(oracles, "count_circuits_exact", recording)
+    assert volume_from_odd_counts(word("abcabc", "RRHRRH")) == Fraction(2, 3)
     assert sizes == [11, 9, 7, 5, 3, 1]
 
 
-def test_exact_route_counts_at_odd_sizes_for_mixed_toeplitz_circulant_word():
+def test_odd_count_reader_takes_odd_sizes_for_mixed_toeplitz_circulant_word():
     # even-n counts of words mixing T and S have period 4 in n, so an
-    # even-n fit of this word reads 11/16; the exact route's sizes must stay odd
-    assert p_limit(word("abcbca", "TTSTST"), "exact").value == 2 / 3
+    # even-n fit of this word reads 11/16; the reader's sizes must stay odd
+    w = word("abcbca", "TTSTST")
+    assert volume_from_odd_counts(w) == exact_volume(w) == Fraction(2, 3)
+
+
+def test_odd_count_reader_rejects_counts_that_are_no_polynomial(monkeypatch):
+    monkeypatch.setattr(oracles, "count_circuits_exact", lambda w, n, *, budget: 2**n)
+    with pytest.raises(ArithmeticError, match="not a degree-3 polynomial"):
+        volume_from_odd_counts(word("abab", "THTH"))
 
 
 def test_exact_word_without_surviving_system_is_zero_uncounted(monkeypatch):
     # over odd n this word's counts are not a polynomial; its volume is
-    # zero because no constraint system survives, decided before counting
-    def no_counting(w, n, *, budget):
-        raise AssertionError("counted circuits of a word without surviving systems")
+    # zero because no constraint system survives, decided before any
+    # counting or integration
+    def no_volume(*args, **kwargs):
+        raise AssertionError("measured a word without surviving systems")
 
-    monkeypatch.setattr(limits, "count_circuits_exact", no_counting)
+    monkeypatch.setattr(limits, "count_circuits_exact", no_volume)
+    monkeypatch.setattr(limits, "case_volume_exact", no_volume)
     assert p_limit(word("abcabcdd", "WTTWTTSS"), "exact") == (0.0, 0.0)
+
+
+def test_exact_route_rounds_the_integrated_volume():
+    # the float of the rational that the counter's int / int also rounded
+    for word_text, mono in [("abcabc", "RRHRRH"), ("abcdabcd", "TTTTTTTT"), ("abcbca", "TTSTST")]:
+        w = word(word_text, mono)
+        assert p_limit(w, "exact") == (float(exact_volume(w)), 0.0)
+
+
+def test_integrator_equals_odd_count_reader_on_reference_words():
+    for word_text, colors in REFERENCE_WORDS:
+        w = word(word_text, colors)
+        volume = exact_volume(w)
+        if volume:
+            assert volume == volume_from_odd_counts(w), (word_text, colors)
+        else:
+            # the reader needs a surviving system; a word without one is 0 uncounted
+            assert p_limit(w, "exact") == (0.0, 0.0), (word_text, colors)
+
+
+def test_integrator_equals_p_true_on_reference_rows():
+    for row in ALL_ROWS:
+        assert exact_volume(word(row.word, row.monomial)) == row.p_true, (row.monomial, row.word)
+
+
+@pytest.mark.parametrize(
+    "mono,expected",
+    [
+        ("TTTT", Fraction(8, 3)),
+        ("TTTTTT", Fraction(11)),
+        ("TTTTTTTT", Fraction(908, 15)),
+        ("HHHHHH", Fraction(11, 2)),
+        ("HHHHHHHH", Fraction(281, 15)),
+        ("HHHHHHHHHH", Fraction(2717, 36)),
+        ("RRRRRR", Fraction(6)),
+        ("RRRRRRRR", Fraction(24)),
+        ("SSSSSS", Fraction(15)),
+        ("WWWWWW", Fraction(5)),
+        ("WWWWWWWW", Fraction(14)),
+        ("THTHTHTH", Fraction(13, 5)),
+    ],
+)
+def test_exact_moments_as_fractions(mono, expected):
+    words = enumerate_pair_matched_words(parse_monomial(mono))
+    assert sum((exact_volume(w) for w in words), Fraction(0)) == expected
+
+
+def _is_symmetric(w):
+    # every match joins an odd and an even position
+    return all((f + s) % 2 for f, s in match_pairs(w))
+
+
+@pytest.mark.parametrize(
+    "kind,lengths,closed_form",
+    [
+        ("W", (2, 4, 6, 8), lambda w: Fraction(int(is_catalan(w)))),
+        ("R", (2, 4, 6, 8), lambda w: Fraction(int(_is_symmetric(w)))),
+        ("S", (2, 4, 6), lambda w: Fraction(1)),
+        ("H", (2, 4, 6, 8), lambda w: None if _is_symmetric(w) else Fraction(0)),
+    ],
+)
+def test_single_kind_word_volumes_take_their_closed_forms(kind, lengths, closed_form):
+    # W: 1 iff Catalan; R: 1 iff symmetric; S: always 1; H: 0 unless symmetric
+    for length in lengths:
+        for w in enumerate_pair_matched_words(parse_monomial(kind * length)):
+            want = closed_form(w)
+            if want is not None:
+                assert exact_volume(w) == want, w.text
 
 
 @pytest.mark.parametrize(
@@ -398,7 +495,26 @@ def test_catalan_floor_smoke():
 def test_exact_over_budget_raises():
     w = word("abcabc", "TTTTTT")
     with pytest.raises(BudgetExceededError):
-        p_limit(w, "exact", samples=20000, seed=0, budget=10_000)
+        volume_from_odd_counts(w, budget=10_000)
+    # 8 cases fit a budget of 30; the 36 integration branches do not
+    with pytest.raises(BudgetExceededError, match="exact integration needs more than 30 branches"):
+        p_limit(w, "exact", budget=30)
+    assert p_limit(w, "exact", budget=36).value == float(exact_volume(w))
+
+
+def test_integration_branches_are_charged_per_word():
+    # one budget for all of a word's surviving systems, not one per system
+    w = word("abcabc", "RRRRRR")
+    survivors = [cs for cs in resolve_affine(w) if cs.identity_ok()]
+    per_system = []
+    for cs in survivors:
+        branches = BranchBudget(DEFAULT_BUDGET)
+        case_volume_exact(cs, branches)
+        per_system.append(branches.spent)
+    assert len(survivors) == 7 and max(per_system) < sum(per_system) == 112
+    with pytest.raises(BudgetExceededError):
+        p_limit(w, "exact", budget=111)
+    assert p_limit(w, "exact", budget=112).value == 1.0
 
 
 def test_alpha_examples():
