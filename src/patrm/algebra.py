@@ -206,6 +206,22 @@ def drop_indices(w: ColoredWord) -> ColoredWord:
     return ColoredWord(w.letters, w.colors, tuple(1 for _ in w.indices))
 
 
+def dihedral_key(w: ColoredWord) -> tuple[tuple[int, ...], str]:
+    """The least (canonical letters, color characters) of the word's 2k rotations and reversals.
+
+    Copy indices are dropped.  Rotating a circuit gives the circuits of
+    the rotated word, since the trace is cyclic; reversing it gives those
+    of the reversed word, since every link function is symmetric.  So
+    words with equal keys have equal limit volumes.
+    """
+    k = len(w)
+    images = []
+    for letters, colors in ((w.letters, w.color_text), (w.letters[::-1], w.color_text[::-1])):
+        for r in range(k):
+            images.append((canonical_letters(letters[r:] + letters[:r]), colors[r:] + colors[:r]))
+    return min(images)
+
+
 def is_catalan(w: ColoredWord) -> bool:
     """True iff repeatedly deleting adjacent equal-letter pairs empties the word.
 

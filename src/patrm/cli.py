@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import __version__, limits
@@ -99,6 +100,11 @@ def _report(args, payload: dict, **extra) -> int:
     return EXIT_OK
 
 
+def _exact_field(value) -> dict:
+    """The exact route's rational as an "exact" report field, e.g. "908/15"; none for a float."""
+    return {"exact": str(value)} if isinstance(value, Fraction) else {}
+
+
 def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -148,7 +154,8 @@ def cmd_pcw(args) -> int:
         "word": w.text,
         "catalan": is_catalan(w),
         "cases": limits.case_count(w) if w.is_color_consistent() else 0,
-        "p": est.value,
+        "p": float(est.value),
+        **_exact_field(est.value),
         "stderr": est.stderr,
         "method": args.method,
     })
@@ -161,7 +168,8 @@ def cmd_alpha(args) -> int:
     )
     return _report(args, {
         "q": str(q),
-        "alpha": value,
+        "alpha": float(value),
+        **_exact_field(value),
         "stderr": stderr,
         "bound": limits.alpha_bound(q),
         "words": pairing_count_estimate(q),
@@ -243,8 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="max enumeration steps; exact volumes are charged per integration branch",
     )
     q = _option("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
-    method = _option("--method", choices=limits.METHODS, default="mc")
-    samples = _option("--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES)
+    method = _option(
+        "--method", choices=limits.METHODS, default="exact",
+        help="exact: rational volumes by integration (default); mc: Monte Carlo estimates",
+    )
+    samples = _option(
+        "--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES,
+        help="Monte Carlo samples per constraint system; --method exact does not use it",
+    )
     dist = _option("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

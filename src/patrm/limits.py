@@ -14,11 +14,13 @@ zero; the walk returns the other cases in build_cases order.  A word's
 volume is the sum over its surviving cases, evaluated by Monte Carlo,
 or exactly: each case is a rational polytope in the unit box, whose
 volume is integrated one coordinate at a time (Fourier-Motzkin) in
-integer and Fraction arithmetic.  The Monte Carlo kernel draws each
-case's points in fixed-size chunks into reused buffers, split over
-threads that each jump to their own offset of the case's one PCG64
-stream, so its memory does not grow with the sample count and its
-estimate is the same for any number of threads.
+integer and Fraction arithmetic.  Words equal up to rotation and
+reversal have equal volumes, so the exact monomial limit integrates one
+word per such class.  The Monte Carlo kernel draws each case's points
+in fixed-size chunks into reused buffers, split over threads that each
+jump to their own offset of the case's one PCG64 stream, so its memory
+does not grow with the sample count and its estimate is the same for
+any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -43,6 +45,7 @@ from .algebra import (
     ColoredWord,
     Monomial,
     count_pairings,
+    dihedral_key,
     drop_indices,
     enumerate_pair_matched_words,
     match_pairs,
@@ -166,9 +169,9 @@ class ConstraintSystem:
 
 
 class VolumeEstimate(NamedTuple):
-    """A word-volume value with its uncertainty."""
+    """A word-volume value with its uncertainty: a float, or an exact Fraction with stderr 0."""
 
-    value: float
+    value: float | Fraction
     stderr: float
 
 
@@ -557,15 +560,16 @@ def p_limit(
     derived from the seed (mod 2^64) and the word without copy indices.
     "exact": sum of the systems' exact volumes (case_volume_exact), with
     the integration branches of all of them charged against one budget,
-    returned as the correctly rounded float of that rational, stderr 0.
+    returned as that Fraction, stderr 0; a zero is Fraction(0) too.
     samples < 1 is a ValueError on either route, whatever the word.
     """
     _check_request(method, samples)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
+    zero = VolumeEstimate(Fraction(0) if method == "exact" else 0.0, 0.0)
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
-        return VolumeEstimate(0.0, 0.0)
+        return zero
 
     n_cases = case_count(w)
     if n_cases > budget:
@@ -581,11 +585,10 @@ def p_limit(
         seen.add(key)
         systems.append(cs)
     if not systems:
-        return VolumeEstimate(0.0, 0.0)
+        return zero
     if method == "exact":
         branches = BranchBudget(budget)
-        total = sum((case_volume_exact(cs, branches) for cs in systems), Fraction(0))
-        return VolumeEstimate(float(total), 0.0)
+        return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), Fraction(0)), 0.0)
 
     word_seed = _word_seed(seed_mod64(seed), drop_indices(w))
     return _sum_estimates(
@@ -656,11 +659,27 @@ def alpha_estimate(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> VolumeEstimate:
-    """(value, stderr) of the limiting expected normalized trace moment."""
+    """(value, stderr) of the limiting expected normalized trace moment.
+
+    The sum of the volumes of the monomial's pair-matched words.  "mc"
+    adds every word's estimate.  "exact" groups the words by
+    dihedral_key, whose classes share one volume, integrates the first
+    word of each class (each word with its own budget), and returns the
+    Fraction sum of class size times class volume, stderr 0.
+    """
     _check_request(method, samples)
+    words = pair_matched_words(q, budget)
+    if method == "exact":
+        classes: dict = {}
+        for w in words:
+            classes.setdefault(dihedral_key(w), []).append(w)
+        total = sum(
+            (len(members) * p_limit(members[0], method, budget=budget).value for members in classes.values()),
+            Fraction(0),
+        )
+        return VolumeEstimate(total, 0.0)
     return _sum_estimates(
-        p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget)
-        for w in pair_matched_words(q, budget)
+        p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget) for w in words
     )
 
 
@@ -671,7 +690,7 @@ def alpha(
     samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-) -> float:
+) -> float | Fraction:
     """Limiting expected normalized trace moment of the monomial.
 
     The sum of word volumes over all index-respecting pair matchings;

@@ -11,6 +11,7 @@ from patrm.algebra import (
     Monomial,
     canonical_letters,
     count_pairings,
+    dihedral_key,
     drop_indices,
     enumerate_pair_matched_words,
     is_catalan,
@@ -155,6 +156,42 @@ def test_rotation_bijection(kind_pool, shift_raw, pick):
     w = words[pick % len(words)]
     back = cyclic_rotate(cyclic_rotate(w, shift), (len(q) - shift) % len(q))
     assert back == w
+
+
+def _reversed(w: ColoredWord) -> ColoredWord:
+    return ColoredWord(canonical_letters(w.letters[::-1]), w.colors[::-1], w.indices[::-1])
+
+
+def test_dihedral_key_examples():
+    key = dihedral_key(word_from_text("aabb", parse_monomial("TTHH")))
+    # letters first: aabb beats abba, and HHTT (a rotation by two) beats TTHH
+    assert key == ((0, 0, 1, 1), "HHTT")
+    assert dihedral_key(word_from_text("abba", parse_monomial("THHT"))) == key
+    # copy indices are dropped
+    w = word_from_text("abba", parse_monomial("W1W1W2W2"))
+    assert dihedral_key(w) == dihedral_key(drop_indices(w))
+
+
+@given(
+    st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=3),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_dihedral_key_invariant_under_rotation_and_reversal(kind_pool, shift_raw, pick):
+    q = Monomial(tuple((k, 1) for k in kind_pool * 2))
+    words = enumerate_pair_matched_words(q)
+    if not words:
+        return
+    w = words[pick % len(words)]
+    rotated = cyclic_rotate(w, shift_raw % len(q))
+    assert dihedral_key(rotated) == dihedral_key(_reversed(rotated)) == dihedral_key(w)
+
+
+@pytest.mark.parametrize("k,classes", [(1, 1), (2, 2), (3, 5), (4, 17), (5, 79)])
+def test_dihedral_classes_of_single_kind_words(k, classes):
+    # chord diagrams on 2k points up to rotation and reflection
+    words = enumerate_pair_matched_words(parse_monomial("T" * (2 * k)))
+    assert len({dihedral_key(w) for w in words}) == classes
 
 
 def test_word_from_text_validates():

@@ -34,7 +34,7 @@ def test_words_empty_cases(capsys):
 
 
 def test_pcw_mc(capsys):
-    code, out, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--samples", "200000")
+    code, out, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--method", "mc", "--samples", "200000")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["p"] == pytest.approx(2 / 3, abs=0.01)
@@ -53,14 +53,14 @@ def test_alpha_semicircle(capsys):
 
 @pytest.mark.parametrize("q,count", [("TTTT", 3), ("W1T1W2T1", 0), ("THTHT", 0)])
 def test_alpha_word_count_is_exact(capsys, q, count):
-    code, out, _ = run(capsys, "alpha", "--q", q, "--samples", "1000")
+    code, out, _ = run(capsys, "alpha", "--q", q, "--method", "mc", "--samples", "1000")
     assert code == EXIT_OK
     words = json.loads(out)["words"]
     assert words == count == len(enumerate_pair_matched_words(parse_monomial(q)))
 
 
 def test_tables_flags_known_discrepancies(capsys):
-    code, out, err = run(capsys, "tables", "--samples", "100000")
+    code, out, err = run(capsys, "tables", "--method", "mc", "--samples", "100000")
     assert code == EXIT_NUMERIC  # the two defective published cells
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == len(ALL_ROWS)
@@ -75,7 +75,7 @@ def test_tables_flags_known_discrepancies(capsys):
 
 def test_tables_low_samples_flags_only_defective_rows(capsys):
     # at 2000 samples a fixed 0.02 tolerance is ~2 standard errors of a row
-    code, _, err = run(capsys, "tables", "--samples", "2000")
+    code, _, err = run(capsys, "tables", "--method", "mc", "--samples", "2000")
     assert code == EXIT_NUMERIC
     lines = err.strip().splitlines()
     assert all(line.startswith("tables: |err| >") for line in lines)
@@ -85,7 +85,7 @@ def test_tables_low_samples_flags_only_defective_rows(capsys):
 
 def test_tables_mc_golden_row(capsys):
     # SSSSHH/ababcc as the per-case resolver gave it at 2000 samples, seed 0
-    _, out, _ = run(capsys, "tables", "--samples", "2000")
+    _, out, _ = run(capsys, "tables", "--method", "mc", "--samples", "2000")
     assert "SSSSHH,ababcc,1,1.0065,0.0064999999999999503\r\n" in out
 
 
@@ -181,25 +181,26 @@ def test_freeness_command(capsys):
 
 
 def test_determinism_byte_identical(capsys):
-    _, out1, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--samples", "50000", "--seed", "5")
-    _, out2, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--samples", "50000", "--seed", "5")
+    argv = ("pcw", "--q", "THTH", "--word", "abab", "--method", "mc", "--samples", "50000")
+    _, out1, _ = run(capsys, *argv, "--seed", "5")
+    _, out2, _ = run(capsys, *argv, "--seed", "5")
     assert out1 == out2
-    _, out3, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--samples", "50000", "--seed", "6")
+    _, out3, _ = run(capsys, *argv, "--seed", "6")
     assert out3 != out1
 
 
 def test_pcw_and_alpha_agree_on_a_single_word_monomial(capsys):
     # abab is the only pair-matched word of T1 T2 T1 T2, so its volume is
     # the monomial's limit, from either command
-    _, pcw_out, _ = run(capsys, "pcw", "--q", "T1 T2 T1 T2", "--word", "abab", "--samples", "20000")
-    _, alpha_out, _ = run(capsys, "alpha", "--q", "T1T2T1T2", "--samples", "20000")
+    _, pcw_out, _ = run(capsys, "pcw", "--q", "T1 T2 T1 T2", "--word", "abab", "--method", "mc", "--samples", "20000")
+    _, alpha_out, _ = run(capsys, "alpha", "--q", "T1T2T1T2", "--method", "mc", "--samples", "20000")
     pcw, alpha = json.loads(pcw_out), json.loads(alpha_out)
     assert alpha["words"] == 1
     assert (pcw["p"], pcw["stderr"]) == (alpha["alpha"], alpha["stderr"])
 
 
 def test_negative_seed_aliases_mod_2_64(capsys):
-    argv = ("alpha", "--q", "THTH", "--samples", "2000")
+    argv = ("alpha", "--q", "THTH", "--method", "mc", "--samples", "2000")
     neg = run(capsys, *argv, "--seed", "-1")
     big = run(capsys, *argv, "--seed", str(2**64 - 1))
     assert neg[0] == big[0] == EXIT_OK
@@ -210,7 +211,7 @@ def test_negative_seed_aliases_mod_2_64(capsys):
 
 
 def test_json_roundtrip_17_digits(capsys):
-    _, out, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--samples", "50000")
+    _, out, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab", "--method", "mc", "--samples", "50000")
     payload = json.loads(out)
     # every float re-serializes to the exact same double
     text = format(payload["p"], ".17g")
@@ -310,14 +311,24 @@ _META = ["seed", "budget", "version"]
     [
         pytest.param(["words", "--q", "TTTTHH"], ["q", "words", "count", *_META], id="words"),
         pytest.param(
-            ["pcw", "--q", "THTH", "--word", "abab", "--samples", "1000"],
+            ["pcw", "--q", "THTH", "--word", "abab", "--method", "mc", "--samples", "1000"],
             ["monomial", "word", "catalan", "cases", "p", "stderr", "method", *_META],
             id="pcw",
         ),
         pytest.param(
-            ["alpha", "--q", "THTH", "--samples", "1000"],
+            ["alpha", "--q", "THTH", "--method", "mc", "--samples", "1000"],
             ["q", "alpha", "stderr", "bound", "words", "method", *_META],
             id="alpha",
+        ),
+        pytest.param(
+            ["pcw", "--q", "THTH", "--word", "abab"],
+            ["monomial", "word", "catalan", "cases", "p", "exact", "stderr", "method", *_META],
+            id="pcw-exact",
+        ),
+        pytest.param(
+            ["alpha", "--q", "THTH"],
+            ["q", "alpha", "exact", "stderr", "bound", "words", "method", *_META],
+            id="alpha-exact",
         ),
         pytest.param(
             ["moments", "--q", "TT", "--n", "16", "--reps", "2", "--samples", "1000"],
@@ -374,11 +385,11 @@ _GOLDEN = Path(__file__).resolve().parent / "golden"
     "argv,payload",
     [
         (
-            ["alpha", "--q", "THTHTHTH"],
+            ["alpha", "--q", "THTHTHTH", "--method", "mc"],
             '{"q":"THTHTHTH","alpha":2.600921,"stderr":0.0012124982352288188,"bound":1680,"words":9,',
         ),
         (
-            ["alpha", "--q", "SSSSSS", "--samples", "200000"],
+            ["alpha", "--q", "SSSSSS", "--method", "mc", "--samples", "200000"],
             '{"q":"SSSSSS","alpha":15.000609999999998,"stderr":0.0054016749720109964,"bound":120,"words":15,',
         ),
     ],
@@ -388,6 +399,35 @@ def test_alpha_mc_golden_bytes(capsys, argv, payload):
     code, out, err = run(capsys, *argv, "--seed", "21")
     assert (code, err) == (EXIT_OK, "")
     assert out == payload + f'"method":"mc","seed":21,"budget":5000000000,"version":"{__version__}"}}\n'
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        # the default method is exact: the float is the rational's correct rounding
+        (
+            ["alpha", "--q", "THTHTHTH"],
+            '{"q":"THTHTHTH","alpha":2.6000000000000001,"exact":"13/5","stderr":0,"bound":1680,"words":9,',
+        ),
+        (
+            ["alpha", "--q", "TTTTTTTT", "--method", "exact"],
+            '{"q":"TTTTTTTT","alpha":60.533333333333331,"exact":"908/15","stderr":0,"bound":1680,"words":105,',
+        ),
+    ],
+    ids=["THTHTHTH", "TTTTTTTT"],
+)
+def test_alpha_exact_golden_bytes(capsys, argv, payload):
+    code, out, err = run(capsys, *argv, "--seed", "21")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == payload + f'"method":"exact","seed":21,"budget":5000000000,"version":"{__version__}"}}\n'
+
+
+def test_pcw_exact_reports_the_rational(capsys):
+    code, out, _ = run(capsys, "pcw", "--q", "THTH", "--word", "abab")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["p"], payload["exact"], payload["stderr"]) == (2 / 3, "2/3", 0)
+    assert payload["method"] == "exact"
 
 
 @pytest.mark.parametrize("a,b", [("T", "H"), ("R", "S"), ("W", "S")])

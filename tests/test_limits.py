@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    all_monomials,
     case_volume_mc_reference,
     circuit_count_bruteforce,
     cyclic_rotate,
@@ -19,7 +21,10 @@ from oracles import (
 )
 from patrm import limits
 from patrm.algebra import (
+    ColoredWord,
     Monomial,
+    count_pairings,
+    dihedral_key,
     enumerate_pair_matched_words,
     is_catalan,
     match_pairs,
@@ -33,6 +38,7 @@ from patrm.limits import (
     BranchBudget,
     BudgetExceededError,
     ConstraintSystem,
+    VolumeEstimate,
     alpha,
     alpha_bound,
     alpha_estimate,
@@ -311,7 +317,8 @@ def test_p_limit_mc_examples(word_text, mono, expected):
 @pytest.mark.parametrize("word_text,mono,expected", TABLE_EXAMPLES)
 def test_p_limit_exact_examples(word_text, mono, expected):
     est = p_limit(word(word_text, mono), "exact")
-    assert est.value == float(expected)
+    assert isinstance(est.value, Fraction)
+    assert est.value == expected
     assert est.stderr == 0.0
 
 
@@ -367,10 +374,10 @@ def test_exact_word_without_surviving_system_is_zero_uncounted(monkeypatch):
 
 
 def test_exact_route_rounds_the_integrated_volume():
-    # the float of the rational that the counter's int / int also rounded
+    # the route returns the integrated rational itself, so a report rounds it once
     for word_text, mono in [("abcabc", "RRHRRH"), ("abcdabcd", "TTTTTTTT"), ("abcbca", "TTSTST")]:
         w = word(word_text, mono)
-        assert p_limit(w, "exact") == (float(exact_volume(w)), 0.0)
+        assert p_limit(w, "exact") == (exact_volume(w), 0.0)
 
 
 def test_integrator_equals_odd_count_reader_on_reference_words():
@@ -411,6 +418,70 @@ def test_exact_moments_as_fractions(mono, expected):
     assert sum((exact_volume(w) for w in words), Fraction(0)) == expected
 
 
+def _key_word(key) -> ColoredWord:
+    # the least image that a dihedral key names, with uniform copy indices
+    letters, colors = key
+    return ColoredWord(letters, tuple(LinkKind.from_char(c) for c in colors), (1,) * len(letters))
+
+
+def test_exact_volume_is_constant_on_dihedral_classes():
+    # rotating or reversing a word leaves its exact volume unchanged, so
+    # every word's volume is that of the representative its key names
+    words = [word(text, colors) for length in (2, 4, 6) for text, colors in _color_consistent_words(length)]
+    for mono in ("TTTTTTTT", "HHHHHHHH", "RRRRRRRR", "THTHTHTH"):
+        words += enumerate_pair_matched_words(parse_monomial(mono))
+    volumes = {}
+
+    def volume(w):
+        if w not in volumes:
+            volumes[w] = p_limit(w, "exact").value
+        return volumes[w]
+
+    keys = set()
+    for w in words:
+        key = dihedral_key(w)
+        rep = _key_word(key)
+        assert dihedral_key(rep) == key
+        assert volume(w) == volume(rep), (w.text, w.color_text)
+        keys.add(key)
+    assert (len(words), len(keys)) == (2279, 385)
+
+
+@pytest.mark.parametrize("length,words,classes", [(8, 105, 17), (10, 945, 79)])
+def test_exact_alpha_integrates_one_word_per_dihedral_class(monkeypatch, length, words, classes):
+    integrated = []
+
+    def unit_volume(w, method, **kwargs):
+        integrated.append(dihedral_key(w))
+        return VolumeEstimate(Fraction(1), 0.0)
+
+    monkeypatch.setattr(limits, "p_limit", unit_volume)
+    # with every class at volume 1 the limit counts the words: the class sizes
+    assert alpha_estimate(parse_monomial("T" * length), "exact") == (words, 0.0)
+    assert len(integrated) == len(set(integrated)) == classes
+
+
+def _closed_form_s(q):
+    # circulants commute, so S copies behave as independent standard
+    # Gaussians: the product of each copy's moment, (m - 1)!! or 0
+    return math.prod(count_pairings(m) for m in Counter(q.indices).values())
+
+
+def _closed_form_r(q):
+    # R copies are half independent: prod e! when each copy sits at as many
+    # even positions e as odd ones, else 0
+    even = Counter(q.indices[::2])
+    odd = Counter(q.indices[1::2])
+    return math.prod(math.factorial(e) for e in even.values()) if even == odd else 0
+
+
+@pytest.mark.parametrize("kind,closed_form", [("S", _closed_form_s), ("R", _closed_form_r)], ids=["S", "R"])
+@pytest.mark.parametrize("length", [4, 6])
+def test_circulant_copy_monomials_take_their_closed_forms(kind, closed_form, length):
+    for q in all_monomials([LinkKind.from_char(kind)], length, indices=(1, 2, 3)):
+        assert alpha_estimate(q, "exact").value == closed_form(q), str(q)
+
+
 def _is_symmetric(w):
     # every match joins an odd and an even position
     return all((f + s) % 2 for f, s in match_pairs(w))
@@ -444,11 +515,20 @@ def test_single_kind_word_volumes_take_their_closed_forms(kind, lengths, closed_
         ("SSSSSS", Fraction(15)),
         ("WWWWWW", Fraction(5)),
         ("THTHTHTH", Fraction(13, 5)),
+        ("TTTTTTTT", Fraction(908, 15)),
+        ("TTTTTTTTTT", Fraction(415)),
+        ("HHHHHHHH", Fraction(281, 15)),
+        ("HHHHHHHHHH", Fraction(2717, 36)),
+        ("RRRRRRRR", Fraction(24)),
+        ("SSSSSSSS", Fraction(105)),
+        ("WWWWWWWW", Fraction(14)),
     ],
 )
 def test_exact_marginal_moments(mono, expected):
-    # word volumes are exact; their float sum is not
-    assert alpha(parse_monomial(mono), "exact") == pytest.approx(float(expected), rel=1e-12)
+    # the class volumes are exact, and so is their weighted sum
+    est = alpha_estimate(parse_monomial(mono), "exact")
+    assert isinstance(est.value, Fraction)
+    assert est == (expected, 0.0)
 
 
 def test_p_limit_methods_agree_on_catalan():
@@ -499,7 +579,7 @@ def test_exact_over_budget_raises():
     # 8 cases fit a budget of 30; the 36 integration branches do not
     with pytest.raises(BudgetExceededError, match="exact integration needs more than 30 branches"):
         p_limit(w, "exact", budget=30)
-    assert p_limit(w, "exact", budget=36).value == float(exact_volume(w))
+    assert p_limit(w, "exact", budget=36).value == exact_volume(w)
 
 
 def test_integration_branches_are_charged_per_word():
