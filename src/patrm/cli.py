@@ -17,6 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+# sampler, spectra and freeness load numpy, so only the commands that use them
+# import them, when they run: the exact commands start on the standard library
 from . import __version__, limits
 from .algebra import (
     is_catalan,
@@ -24,11 +26,8 @@ from .algebra import (
     parse_monomial,
     word_from_text,
 )
-from .freeness import freeness_report
-from .linkfns import LinkKind
+from .linkfns import DEFAULT_BINS, InputDistribution, LinkKind
 from .reference_tables import ALL_ROWS
-from .sampler import InputDistribution, empirical_trace_moment
-from .spectra import DEFAULT_BINS, sum_lsd_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,6 +177,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .sampler import empirical_trace_moment
+
     q = parse_monomial(args.q)
     dist = InputDistribution(args.dist)
     est = empirical_trace_moment(q, args.n, dist, args.reps, args.seed)
@@ -198,6 +199,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_lsd(args) -> int:
+    from .spectra import sum_lsd_report
+
     kind_a = LinkKind.from_char(args.a)
     kind_b = LinkKind.from_char(args.b)
     dist = InputDistribution(args.dist)
@@ -225,6 +228,8 @@ def cmd_lsd(args) -> int:
 
 
 def cmd_freeness(args) -> int:
+    from .freeness import freeness_report
+
     q = parse_monomial(args.q)
     report = freeness_report(
         q, n=args.n, dist=InputDistribution(args.dist), reps=args.reps, tol=args.tol,

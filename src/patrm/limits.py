@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-import numpy as np
-
+# no module-level numpy or sampler import: the Monte Carlo kernel and the circuit
+# counter import them in their bodies, so the exact route needs the standard library alone
 from .algebra import (
     ColoredWord,
     Monomial,
@@ -52,7 +52,6 @@ from .algebra import (
     pairing_count_estimate,
 )
 from .linkfns import DELTA, LinkKind, solve_branch_grid
-from .sampler import seed_mod64, seed_sequence
 
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_BUDGET = 5_000_000_000
@@ -181,7 +180,7 @@ def _sum_estimates(estimates) -> VolumeEstimate:
     for est in estimates:
         total += est.value
         var += est.stderr ** 2
-    return VolumeEstimate(total, float(np.sqrt(var)))
+    return VolumeEstimate(total, math.sqrt(var))
 
 
 def _match_relations(w: ColoredWord) -> list[dict]:
@@ -259,6 +258,8 @@ def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: 
     chunks' draws (one 64-bit output per float64), so the points are those
     of one rng.random((samples, dim)) call, and reuses one buffer set.
     """
+    import numpy as np
+
     bitgen = np.random.PCG64()
     bitgen.state = state
     gen = np.random.Generator(bitgen.advance(first * _MC_CHUNK * dim))
@@ -307,6 +308,8 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
         lo, hi = form.value_interval()
         if hi <= 0 or lo >= 1:
             return VolumeEstimate(0.0, 0.0)
+    import numpy as np
+
     vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
     state = np.random.default_rng(seed).bit_generator.state
     chunks = -(-samples // _MC_CHUNK)
@@ -504,6 +507,8 @@ def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET
         raise BudgetExceededError(
             f"enumeration needs ~{exact_count_work(w, n):.2e} steps, budget is {budget:.2e}"
         )
+    import numpy as np
+
     first_of = {s: f for f, s in match_pairs(w)}
     length, k = len(w), len(first_of)
 
@@ -589,6 +594,8 @@ def p_limit(
     if method == "exact":
         branches = BranchBudget(budget)
         return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), Fraction(0)), 0.0)
+
+    from .sampler import seed_mod64, seed_sequence
 
     word_seed = _word_seed(seed_mod64(seed), drop_indices(w))
     return _sum_estimates(

@@ -5,14 +5,20 @@ entry; entries with equal link values within one ensemble are the same
 random variable.  Vertices are 0-based, in {0, ..., n-1}.  Link values of
 different kinds never compare equal, even when numerically identical; all
 public helpers therefore take the kind explicitly and only ever compare
-values within one kind.
+values within one kind.  Each distinct link value carries one independent
+draw from an InputDistribution.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+# no module-level numpy import: the grid helpers import it in their bodies,
+# so the exact commands, which use only the kinds, never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LinkKind(enum.Enum):
@@ -48,6 +54,27 @@ DELTA = {
     LinkKind.SYMMETRIC_CIRCULANT: 2,
 }
 
+_SQRT3 = math.sqrt(3.0)
+
+
+class InputDistribution(enum.Enum):
+    """Mean-zero, variance-one input laws."""
+
+    GAUSSIAN = "gaussian"
+    RADEMACHER = "rademacher"
+    UNIFORM_SYM = "uniform"
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self is InputDistribution.GAUSSIAN:
+            return rng.standard_normal(size)
+        if self is InputDistribution.RADEMACHER:
+            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+        return rng.uniform(-_SQRT3, _SQRT3, size=size)
+
+
+# histogram bins of a spectral report (spectra.esd), and the CLI's --bins default
+DEFAULT_BINS = 50
+
 
 def lvalue_key_grid(kind: LinkKind, n: int) -> tuple[int, np.ndarray]:
     """(number of distinct storage slots, n x n int64 slot-index matrix).
@@ -58,6 +85,8 @@ def lvalue_key_grid(kind: LinkKind, n: int) -> tuple[int, np.ndarray]:
     Slots are only comparable within a single kind.  Every slot in
     0..size-1 occurs, so the size is the largest key plus one.
     """
+    import numpy as np
+
     i = np.arange(n, dtype=np.int64)
     a, b = i[:, None], i[None, :]
     if kind is LinkKind.TOEPLITZ:
@@ -91,6 +120,8 @@ def solve_branch_grid(
     where the branch yields a genuine, not-yet-seen solution.  The union
     over branches 0..DELTA[kind]-1 is the full solution set, disjointly.
     """
+    import numpy as np
+
     if kind is LinkKind.TOEPLITZ:
         t = np.abs(fa - fb)
         if branch == 0:

@@ -9,8 +9,6 @@ reproducible independently of evaluation order.
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -18,31 +16,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import Monomial
-from .linkfns import ALL_KINDS, LinkKind, lvalue_key_grid
+from .linkfns import ALL_KINDS, InputDistribution, LinkKind, lvalue_key_grid
 
 DEFAULT_SIZE_CAP = 1200
-_SQRT3 = math.sqrt(3.0)
 _KIND_CODE = {kind: i for i, kind in enumerate(ALL_KINDS)}
 
 
 def _check_size(n: int) -> None:
     if n > DEFAULT_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds cap {DEFAULT_SIZE_CAP}")
-
-
-class InputDistribution(enum.Enum):
-    """Mean-zero, variance-one input laws."""
-
-    GAUSSIAN = "gaussian"
-    RADEMACHER = "rademacher"
-    UNIFORM_SYM = "uniform"
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self is InputDistribution.GAUSSIAN:
-            return rng.standard_normal(size)
-        if self is InputDistribution.RADEMACHER:
-            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
 
 
 @dataclass(frozen=True)

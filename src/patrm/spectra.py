@@ -12,10 +12,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .linkfns import LinkKind
-from .sampler import InputDistribution, _check_size, sample_matrix, substream
+from .linkfns import DEFAULT_BINS, InputDistribution, LinkKind
+from .sampler import _check_size, sample_matrix, substream
 
-DEFAULT_BINS = 50
 ESD_PADDING = 0.01
 # relative asymmetry, against the largest entry, that an input may carry
 _SYMMETRY_TOL = 1e-10

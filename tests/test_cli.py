@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import patrm
 from patrm import __version__, limits, sampler, spectra
 from patrm.algebra import enumerate_pair_matched_words, parse_monomial
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -460,3 +464,30 @@ def test_tables_mc_golden_bytes(capsys):
         "tables: |err| > 0.02 for (HHHSHS, aabcbc): 0.1695\n"
         "tables: |err| > 0.02 for (HHHSHS, abbcac): 0.1707\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,code,loads_numpy",
+    [
+        (("alpha", "--q", "TTTTTTTT"), EXIT_OK, False),
+        (("pcw", "--q", "TTTTHHHH", "--word", "abbacddc", "--method", "exact"), EXIT_OK, False),
+        (("tables", "--method", "exact"), EXIT_NUMERIC, False),
+        (("words", "--q", "THTH"), EXIT_OK, False),
+        # the Monte Carlo route does load it, so the probe can tell
+        (("alpha", "--q", "THTH", "--method", "mc", "--samples", "1000"), EXIT_OK, True),
+    ],
+    ids=["alpha", "pcw", "tables", "words", "alpha-mc"],
+)
+def test_exact_commands_run_without_numpy(argv, code, loads_numpy):
+    # a fresh interpreter, so no earlier import in this process counts
+    probe = (
+        "import contextlib, io, sys\n"
+        "from patrm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({list(argv)!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(patrm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == [str(code), str(loads_numpy)]

@@ -482,6 +482,15 @@ def test_circulant_copy_monomials_take_their_closed_forms(kind, closed_form, len
         assert alpha_estimate(q, "exact").value == closed_form(q), str(q)
 
 
+@pytest.mark.parametrize("length,copies", [(2, 3), (4, 3), (6, 3), (8, 2)])
+def test_wigner_copy_monomials_count_their_noncrossing_words(length, copies):
+    # Wigner copies are free among themselves: the limit counts the
+    # non-crossing pairings that pair equal copies, the Catalan words
+    for q in all_monomials([LinkKind.WIGNER], length, indices=tuple(range(1, copies + 1))):
+        want = sum(is_catalan(w) for w in enumerate_pair_matched_words(q))
+        assert alpha_estimate(q, "exact").value == want, str(q)
+
+
 def _is_symmetric(w):
     # every match joins an odd and an even position
     return all((f + s) % 2 for f, s in match_pairs(w))

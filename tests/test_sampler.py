@@ -166,3 +166,21 @@ def test_trace_moment_samples_product_count(monkeypatch, text):
     monkeypatch.setattr(np, "matmul", counting_matmul)
     trace_moment_samples(parse_monomial(text), 8, GAUSS, 2, 0)
     assert len(calls) == 2 * CONTRACTION_PRODUCTS[text]
+
+
+@pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 65])
+def test_circulant_copies_commute_and_reverse_circulant_triples_reverse(n, dist):
+    # at every n: circulants commute, and R1 R2 is circulant, so R1 R2 R3 is
+    # reverse circulant, hence symmetric, hence equal to its transpose R3 R2 R1
+    def copy(kind, index):
+        return sample_matrix(kind, n, dist, substream(8, 0, kind, index))
+
+    s1, s2 = (copy(LinkKind.SYMMETRIC_CIRCULANT, i) for i in (1, 2))
+    r1, r2, r3 = (copy(LinkKind.REVERSE_CIRCULANT, i) for i in (1, 2, 3))
+    for a, b in ((s1 @ s2, s2 @ s1), (r1 @ r2 @ r3, r3 @ r2 @ r1)):
+        if dist is InputDistribution.RADEMACHER:
+            # integer entries well below 2^53: every product is exact
+            assert np.array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
