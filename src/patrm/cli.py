@@ -184,7 +184,7 @@ def cmd_moments(args) -> int:
     est = empirical_trace_moment(q, args.n, dist, args.reps, args.seed)
     alpha_limit: Optional[float] = None
     try:
-        alpha_limit = limits.alpha(q, "mc", samples=args.samples, seed=args.seed, budget=args.budget)
+        alpha_limit = float(limits.alpha(q, "exact", budget=args.budget))
     except limits.BudgetExceededError:
         pass
     return _report(args, {
@@ -232,10 +232,9 @@ def cmd_freeness(args) -> int:
 
     q = parse_monomial(args.q)
     report = freeness_report(
-        q, n=args.n, dist=InputDistribution(args.dist), reps=args.reps, tol=args.tol,
-        samples=args.samples, seed=args.seed, budget=args.budget,
+        q, n=args.n, dist=InputDistribution(args.dist), reps=args.reps, seed=args.seed, budget=args.budget
     )
-    return _report(args, {**report.to_json_dict(), "n": args.n}, method="mc")
+    return _report(args, {**report.to_json_dict(), "n": args.n}, method="exact")
 
 
 def _option(flag: str, **kwargs) -> argparse.ArgumentParser:
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     command("alpha", cmd_alpha, "limiting trace moment of a monomial", q, method, samples)
 
-    p = command("moments", cmd_moments, "simulated trace moment of a monomial", q, dist, samples)
+    p = command("moments", cmd_moments, "simulated trace moment of a monomial", q, dist)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=100)
 
@@ -291,10 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--out", help="CSV path; JSON sidecar written next to it")
 
-    p = command("freeness", cmd_freeness, "freeness verdict for a Wigner-mixing monomial", q, dist, samples)
+    p = command("freeness", cmd_freeness, "freeness verdict for a Wigner-mixing monomial", q, dist)
     p.add_argument("--n", type=int, default=0, help="simulate empirical moment at this size")
     p.add_argument("--reps", type=int, default=0)
-    p.add_argument("--tol", type=float, default=0.03)
     return parser
 
 

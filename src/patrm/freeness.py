@@ -8,13 +8,16 @@ limits (alpha) along the cycles of the partition composed with the full
 cycle.  Wigner copies play the semicircular role; the same machinery with
 another kind in that role quantifies *non*-freeness.  The partitions are
 the Catalan pair-matched words of the guide letters, so multi-copy guide
-families only pair equal copy labels; coverage beyond two copies is
-numerical extrapolation, not a proved case.
+families only pair equal copy labels.  A tier-1 test checks that the
+exact prediction equals the exact limit for every mixed {W, X} monomial of
+length 2..8 and {W1, W2, X1, X2} monomial of length 2..6, X = T, H, R or
+S; more copies or longer monomials are not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,39 +102,43 @@ def free_moment_prediction(
     q: Monomial,
     guide_kind: LinkKind = LinkKind.WIGNER,
     *,
+    method: str = "mc",
     samples: int = limits.DEFAULT_MC_SAMPLES,
     seed: int = 0,
     budget: int = limits.DEFAULT_BUDGET,
-) -> float:
+) -> float | Fraction:
     """Mixed-moment value if the guide copies were a free semicircular family.
 
     Sum over color-respecting non-crossing pair partitions of the guide
     positions (the Catalan pair-matched words of the guide letters alone);
     each partition contributes the product, over cycles of the
     partition composed with the full cycle, of the marginal of the
-    concatenated blocks visited by that cycle: the Monte Carlo limit alpha
-    of the block monomial, or 1 for an empty block.  The budget bounds
+    concatenated blocks visited by that cycle: the limit alpha of the
+    block monomial by `method`, or 1 for an empty block.  "mc" returns a
+    float, "exact" a Fraction.  The request is checked and the budget bounds
     the guide pairings and each block limit, as in limits.alpha.
     """
+    limits._check_request(method, samples)
     alt = alternating_decomposition(q, guide_kind)
+    zero, one = (Fraction(0), Fraction(1)) if method == "exact" else (0.0, 1.0)
     if alt.m % 2 or len(q) % 2:
         # an odd guide count admits no pairing; an odd length leaves an odd
         # block in every cycle product, whose alpha is 0.  Returning here
         # keeps a sweep's many odd monomials from enumerating pairings.
-        return 0.0
+        return zero
     guide = Monomial(tuple((guide_kind, i) for i in alt.guide_indices))
-    total = 0.0
+    total = zero
     for w in limits.pair_matched_words(guide, budget):
         if not is_catalan(w):
             continue
-        prod = 1.0
+        prod = one
         for cycle in sigma_gamma_cycles(match_pairs(w), alt.m):
             letters: tuple = ()
             for r in cycle:
                 letters = letters + alt.blocks[r - 1]
             if letters:
                 prod *= limits.alpha(
-                    Monomial(letters), "mc", samples=samples, seed=seed, budget=budget
+                    Monomial(letters), method, samples=samples, seed=seed, budget=budget
                 )
         total += prod
     return total
@@ -139,21 +146,19 @@ def free_moment_prediction(
 
 @dataclass(frozen=True)
 class FreenessReport:
-    """Limit-vs-prediction (and optional simulation) comparison for one monomial."""
+    """Exact limit vs free prediction (and optional simulation) for one monomial."""
 
     q: str
-    alpha: float
-    alpha_stderr: float
-    free_prediction: float
+    alpha: Fraction
+    free_prediction: Fraction
     empirical: Optional[float]
     empirical_sd: Optional[float]
     deviation: float  # |alpha - prediction|
     empirical_deviation: Optional[float]  # |empirical - prediction|
-    free_within_tol: bool
-    tol: float
+    free: bool  # alpha == prediction
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "alpha": float(self.alpha), "free_prediction": float(self.free_prediction)}
 
 
 def freeness_report(
@@ -161,18 +166,16 @@ def freeness_report(
     n: int = 0,
     dist: InputDistribution = InputDistribution.GAUSSIAN,
     reps: int = 0,
-    tol: float = 0.03,
-    samples: int = limits.DEFAULT_MC_SAMPLES,
     seed: int = 0,
     budget: int = limits.DEFAULT_BUDGET,
 ) -> FreenessReport:
-    """Compare the combinatorial limit with the free prediction for one monomial.
+    """Compare the exact limit with the exact free prediction for one monomial.
 
     The monomial must mix Wigner letters with at least one other kind (the
-    freeness claim is specific to the Wigner role).  The empirical column
-    is simulated only when reps >= 1 and n >= 1, and is advisory: the
-    verdict compares limit against prediction.  Negative n, reps or tol, and
-    n above the sampler's size cap, fail before any limit is computed.
+    freeness claim is specific to the Wigner role); the verdict is Fraction
+    equality.  The empirical column, simulated when n and reps are >= 1, is
+    advisory.  Negative n or reps, only one of them >= 1, and n above the
+    sampler's size cap fail before any limit is computed.
     """
     kinds = {kind for kind, _ in q.letters}
     if LinkKind.WIGNER not in kinds:
@@ -181,20 +184,18 @@ def freeness_report(
         raise ValueError("freeness check requires at least one non-Wigner letter")
     if n < 0 or reps < 0:
         raise ValueError(f"n and reps must be >= 0, got n={n}, reps={reps}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    if (n >= 1) != (reps >= 1):
+        raise ValueError(f"simulating needs both n and reps >= 1, got n={n}, reps={reps}")
     _check_size(n)
-    a_val, a_err = limits.alpha_estimate(q, "mc", samples=samples, seed=seed, budget=budget)
-    pred = free_moment_prediction(q, samples=samples, seed=seed, budget=budget)
+    a_val = limits.alpha(q, "exact", budget=budget)
+    pred = free_moment_prediction(q, method="exact", budget=budget)
     emp = emp_sd = emp_dev = None
-    if reps >= 1 and n >= 1:
+    if n >= 1:
         est = empirical_trace_moment(q, n, dist, reps, seed)
         emp, emp_sd = est.mean, est.stddev
         emp_dev = abs(emp - pred)
-    dev = abs(a_val - pred)
-    return FreenessReport(
-        str(q), a_val, a_err, pred, emp, emp_sd, dev, emp_dev, dev <= tol, tol
-    )
+    dev = float(abs(a_val - pred))
+    return FreenessReport(str(q), a_val, pred, emp, emp_sd, dev, emp_dev, a_val == pred)
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,12 @@ def test_tables_exact_prints_true_volumes(capsys):
 def test_moments_embeds_config(capsys):
     code, out, _ = run(
         capsys, "moments", "--q", "TT", "--n", "64", "--reps", "10", "--seed", "9",
-        "--samples", "20000",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["seed"] == 9
     assert payload["n"] == 64
-    assert payload["alpha_limit"] == pytest.approx(1.0)
+    assert payload["alpha_limit"] == 1.0
     assert payload["budget"] > 0
 
 
@@ -160,9 +159,14 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
         (["freeness", "--q", "WWTT", "--n", "1201", "--reps", "1"], "matrix size 1201 exceeds cap 1200"),
         (["freeness", "--q", "WWTT", "--n", "-3", "--reps", "2"], "n and reps must be >= 0"),
         (["freeness", "--q", "WWTT", "--n", "64", "--reps", "-1"], "n and reps must be >= 0"),
-        (["freeness", "--q", "WWHH", "--tol", "-1"], "tol must be >= 0, got -1.0"),
+        # one of the two alone would simulate nothing
+        (["freeness", "--q", "WWTT", "--n", "64"], "simulating needs both n and reps >= 1, got n=64, reps=0"),
+        (["freeness", "--q", "WWTT", "--reps", "5"], "simulating needs both n and reps >= 1, got n=0, reps=5"),
     ],
-    ids=["moments-n-1201", "freeness-n-1201", "freeness-n--3", "freeness-reps--1", "freeness-tol--1"],
+    ids=[
+        "moments-n-1201", "freeness-n-1201", "freeness-n--3", "freeness-reps--1", "freeness-n-only",
+        "freeness-reps-only",
+    ],
 )
 def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -176,12 +180,12 @@ def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, mess
 
 
 def test_freeness_command(capsys):
-    code, out, _ = run(capsys, "freeness", "--q", "WWHH", "--samples", "100000")
+    code, out, _ = run(capsys, "freeness", "--q", "WWHH")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["free_within_tol"] is True
-    assert payload["alpha"] == pytest.approx(1.0, abs=0.01)
-    assert payload["free_prediction"] == pytest.approx(1.0, abs=0.01)
+    assert payload["free"] is True
+    assert payload["alpha"] == payload["free_prediction"] == 1.0
+    assert (payload["deviation"], payload["method"]) == (0, "exact")
 
 
 def test_determinism_byte_identical(capsys):
@@ -230,8 +234,6 @@ def test_json_roundtrip_17_digits(capsys):
         ["pcw", "--q", "THTH", "--word", "abab", "--method", "exact"],
         ["alpha", "--q", "THT"],
         ["tables"],
-        ["moments", "--q", "THTH", "--n", "10"],
-        ["freeness", "--q", "WWTT"],
     ],
     ids=lambda a: "-".join(a[:2]),
 )
@@ -276,7 +278,7 @@ def test_usage_errors_exit_one(capsys):
         pytest.param(
             ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "10"], id="pcw-exact"
         ),
-        pytest.param(["freeness", "--q", "WWTTTT", "--budget", "5", "--samples", "1000"], id="freeness"),
+        pytest.param(["freeness", "--q", "WWTTTT", "--budget", "5"], id="freeness"),
     ],
 )
 def test_budget_exit_three(capsys, argv):
@@ -294,8 +296,9 @@ def test_case_product_budget_exit_three(capsys):
     assert out == "" and "216 affine cases" in err
 
 
-def test_non_finite_report_exits_two(capsys):
-    code, out, err = run(capsys, "freeness", "--q", "WWHH", "--tol", "nan", "--samples", "1000")
+def test_non_finite_report_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(limits, "alpha_bound", lambda q: float("nan"))
+    code, out, err = run(capsys, "alpha", "--q", "THTH")
     assert code == EXIT_NUMERIC
     assert out == "" and "non-finite" in err
 
@@ -335,15 +338,15 @@ _META = ["seed", "budget", "version"]
             id="alpha-exact",
         ),
         pytest.param(
-            ["moments", "--q", "TT", "--n", "16", "--reps", "2", "--samples", "1000"],
+            ["moments", "--q", "TT", "--n", "16", "--reps", "2"],
             ["q", "n", "mean", "sd", "reps", "dist", "alpha_limit", *_META, "method"],
             id="moments",
         ),
         pytest.param(
-            ["freeness", "--q", "WWHH", "--samples", "1000"],
+            ["freeness", "--q", "WWHH"],
             [
-                "q", "alpha", "alpha_stderr", "free_prediction", "empirical", "empirical_sd",
-                "deviation", "empirical_deviation", "free_within_tol", "tol", "n", *_META, "method",
+                "q", "alpha", "free_prediction", "empirical", "empirical_sd",
+                "deviation", "empirical_deviation", "free", "n", *_META, "method",
             ],
             id="freeness",
         ),
@@ -364,12 +367,45 @@ def test_lsd_sidecar_key_order(capsys):
     ]
 
 
-@pytest.mark.parametrize("command", ["words", "tables", "pcw", "alpha", "moments", "lsd", "freeness"])
+_COMMANDS = ["words", "tables", "pcw", "alpha", "moments", "lsd", "freeness"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_subcommand_help_exits_zero(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: patrm {command} ")
+
+
+def test_samples_only_beside_method(capsys):
+    # --samples sizes the Monte Carlo route, which only --method mc selects
+    with_samples = set()
+    for command in _COMMANDS:
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        usage = capsys.readouterr().out
+        if "[--samples SAMPLES]" in usage:
+            assert "[--method {mc,exact}]" in usage, command
+            with_samples.add(command)
+    assert with_samples == {"tables", "pcw", "alpha"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--q", "TT", "--n", "16", "--samples", "10"],
+        ["freeness", "--q", "WWTT", "--samples", "10"],
+        ["freeness", "--q", "WWTT", "--tol", "0.1"],
+    ],
+    ids=["moments-samples", "freeness-samples", "freeness-tol"],
+)
+def test_exact_limit_commands_reject_monte_carlo_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

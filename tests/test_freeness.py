@@ -1,5 +1,6 @@
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,14 @@ def test_prediction_of_odd_monomial_needs_no_block_limit(monkeypatch):
     assert free_moment_prediction(parse_monomial("WWT")) == 0.0
 
 
+def test_prediction_checks_the_request_before_its_odd_return():
+    # WWT returns before any block limit, which must not hide a bad request
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        free_moment_prediction(parse_monomial("WWT"), method="bogus")
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        free_moment_prediction(parse_monomial("WWT"), samples=0)
+
+
 def test_prediction_with_non_wigner_guide_detects_dependence():
     # Toeplitz in the semicircular role: the independent-product prediction
     # is 0, while the true limit moment is 2/3
@@ -124,14 +133,12 @@ def test_prediction_with_non_wigner_guide_detects_dependence():
 
 
 def test_freeness_report_examples():
-    r = freeness_report(parse_monomial("WTWT"), samples=100000, seed=2)
-    assert r.alpha == pytest.approx(0.0, abs=0.01)
-    assert r.free_prediction == 0.0
-    assert r.free_within_tol
-    r = freeness_report(parse_monomial("WWHH"), samples=100000, seed=2)
-    assert r.alpha == pytest.approx(1.0, abs=0.01)
-    assert r.free_prediction == pytest.approx(1.0, abs=0.01)
-    assert r.free_within_tol
+    r = freeness_report(parse_monomial("WTWT"))
+    assert r.alpha == r.free_prediction == Fraction(0)
+    assert r.free is True and r.deviation == 0.0
+    r = freeness_report(parse_monomial("WWHH"))
+    assert r.alpha == r.free_prediction == Fraction(1)
+    assert r.free is True and r.deviation == 0.0
 
 
 def test_freeness_report_rejects_wrong_monomials():
@@ -142,7 +149,7 @@ def test_freeness_report_rejects_wrong_monomials():
 
 
 def test_freeness_report_empirical_column():
-    r = freeness_report(parse_monomial("WWHH"), n=150, reps=40, samples=50000, seed=6)
+    r = freeness_report(parse_monomial("WWHH"), n=150, reps=40, seed=6)
     assert r.empirical == pytest.approx(r.free_prediction, abs=0.1)
     assert r.empirical_sd is not None
 
@@ -157,6 +164,31 @@ def test_two_wigner_copies_prediction():
     pred = free_moment_prediction(q, samples=150000, seed=8)
     a, err = alpha_estimate(q, samples=150000, seed=8)
     assert abs(a - pred) <= 3 * err + 0.01
+
+
+def _mixed_monomials(other, lengths, indices):
+    # every monomial over the W and `other` copies that holds both kinds
+    for length in lengths:
+        for q in all_monomials((W, other), length, indices):
+            if len(set(q.colors)) == 2:
+                yield q
+
+
+@pytest.mark.parametrize("other", "THRS")
+def test_freeness_identity_is_exact(other):
+    # the paper's theorem: Wigner copies are asymptotically free from copies
+    # of T, H, R and S, so each mixed limit equals its free prediction
+    other = LinkKind.from_char(other)
+    monomials = [
+        *_mixed_monomials(other, range(2, 9), (1,)),
+        *_mixed_monomials(other, range(2, 7), (1, 2)),
+    ]
+    assert len(monomials) == 494 + 5208
+    for q in monomials:
+        a = alpha(q, "exact")
+        pred = free_moment_prediction(q, method="exact")
+        assert type(a) is type(pred) is Fraction
+        assert a == pred, str(q)
 
 
 def _wigner_match_with_unmatched_interior(w):

@@ -430,6 +430,17 @@ def test_exact_volume_is_constant_on_dihedral_classes():
     words = [word(text, colors) for length in (2, 4, 6) for text, colors in _color_consistent_words(length)]
     for mono in ("TTTTTTTT", "HHHHHHHH", "RRRRRRRR", "THTHTHTH"):
         words += enumerate_pair_matched_words(parse_monomial(mono))
+    # the words of the freeness sweep: every {W, X} monomial of length <= 8 holding both kinds
+    sweep = {
+        w
+        for other in "THRS"
+        for length in range(2, 9)
+        for q in all_monomials((LinkKind.WIGNER, LinkKind.from_char(other)), length)
+        if len(set(q.colors)) == 2
+        for w in enumerate_pair_matched_words(q)
+    }
+    assert (len(sweep), len({dihedral_key(w) for w in sweep})) == (6264, 628)
+    words += sweep
     volumes = {}
 
     def volume(w):
@@ -444,7 +455,7 @@ def test_exact_volume_is_constant_on_dihedral_classes():
         assert dihedral_key(rep) == key
         assert volume(w) == volume(rep), (w.text, w.color_text)
         keys.add(key)
-    assert (len(words), len(keys)) == (2279, 385)
+    assert (len(words), len(keys)) == (2279 + 6264, 941)
 
 
 @pytest.mark.parametrize("length,words,classes", [(8, 105, 17), (10, 945, 79)])
