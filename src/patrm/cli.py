@@ -127,9 +127,14 @@ def cmd_tables(args) -> int:
         est = limits.p_limit_cached(w, args.method, samples=args.samples, seed=args.seed, budget=args.budget)
         p_paper = float(row.p_published)
         err = abs(est.value - p_paper)
-        # at low --samples the fixed tolerance is ~2 standard errors, so noise alone would flag rows
-        tol = max(TABLE_TOLERANCE, 4 * est.stderr)
-        if err > tol:
+        if args.method == "exact":
+            # an exact volume is the published rational or it is not
+            tol, flagged = 0, est.value != row.p_published
+        else:
+            # at low --samples the fixed tolerance is ~2 standard errors, so noise alone would flag rows
+            tol = max(TABLE_TOLERANCE, 4 * est.stderr)
+            flagged = err > tol
+        if flagged:
             failures.append((row.monomial, row.word, err, tol))
         rows.append(
             [row.monomial, row.word, _format_float(p_paper), _format_float(est.value), _format_float(err)]

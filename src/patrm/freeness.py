@@ -16,7 +16,7 @@ S; more copies or longer monomials are not checked.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -153,12 +153,22 @@ class FreenessReport:
     free_prediction: Fraction
     empirical: Optional[float]
     empirical_sd: Optional[float]
-    deviation: float  # |alpha - prediction|
     empirical_deviation: Optional[float]  # |empirical - prediction|
     free: bool  # alpha == prediction
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "alpha": float(self.alpha), "free_prediction": float(self.free_prediction)}
+        """The rationals as floats rounded once, each followed by its exact string, e.g. "2/3"."""
+        return {
+            "q": self.q,
+            "alpha": float(self.alpha),
+            "alpha_exact": str(self.alpha),
+            "free_prediction": float(self.free_prediction),
+            "free_prediction_exact": str(self.free_prediction),
+            "empirical": self.empirical,
+            "empirical_sd": self.empirical_sd,
+            "empirical_deviation": self.empirical_deviation,
+            "free": self.free,
+        }
 
 
 def freeness_report(
@@ -194,8 +204,7 @@ def freeness_report(
         est = empirical_trace_moment(q, n, dist, reps, seed)
         emp, emp_sd = est.mean, est.stddev
         emp_dev = abs(emp - pred)
-    dev = float(abs(a_val - pred))
-    return FreenessReport(str(q), a_val, pred, emp, emp_sd, dev, emp_dev, a_val == pred)
+    return FreenessReport(str(q), a_val, pred, emp, emp_sd, emp_dev, a_val == pred)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import Monomial
-from .linkfns import ALL_KINDS, InputDistribution, LinkKind, lvalue_key_grid
+from .linkfns import ALL_KINDS, InputDistribution, LinkKind
 
 DEFAULT_SIZE_CAP = 1200
 _KIND_CODE = {kind: i for i, kind in enumerate(ALL_KINDS)}
@@ -60,15 +60,24 @@ def sample_matrix(
     """Unscaled n x n member: one input value per distinct link value.
 
     The draws and their cells are those of the key grid gather
-    ``dist.draw(rng, size)[keys]``.  T, H, R and S are constant along
-    (anti-)diagonals, so each is the window view ``u[i + j]`` of one short
-    vector u, copied; only W gathers through ``lvalue_key_grid``.
+    ``dist.draw(rng, size)[keys]`` of ``linkfns.lvalue_key_grid``, but no
+    fill builds the grid.  W lays its n(n+1)/2 draws row by row over the
+    upper triangle, the grid's slot order, and mirrors each row into its
+    column.  T, H, R and S are constant along (anti-)diagonals, so each is
+    the window view ``u[i + j]`` of one short vector u, copied.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind is LinkKind.WIGNER:
-        size, keys = lvalue_key_grid(kind, n)
-        return dist.draw(rng, size)[keys]
+        draws = dist.draw(rng, n * (n + 1) // 2)
+        out = np.empty((n, n))
+        start = 0
+        for r in range(n):
+            row = draws[start : start + n - r]
+            out[r, r:] = row
+            out[r:, r] = row
+            start += n - r
+        return out
     if kind is LinkKind.HANKEL:
         return sliding_window_view(dist.draw(rng, 2 * n - 1), n).copy()
     if kind is LinkKind.REVERSE_CIRCULANT:

@@ -29,9 +29,13 @@ def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    scale = np.abs(A).max() or 1.0
-    if np.abs(A - A.T).max() > _SYMMETRY_TOL * scale:
+    # max|A| and max|A - A.T| through one scratch buffer, freed before the solve
+    buf = np.abs(A)
+    scale = buf.max() or 1.0
+    np.abs(np.subtract(A, A.T, out=buf), out=buf)
+    if buf.max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
+    del buf
     _check_size(A.shape[0])
     # LAPACK's symmetric solvers return the eigenvalues in ascending order
     return np.linalg.eigvalsh(A)
@@ -137,9 +141,10 @@ def sum_lsd_report(
     pooled = []
     moments = np.zeros((reps, kmax))
     for rep in range(reps):
-        a = sample_matrix(kind_a, n, dist, substream(seed, rep, kind_a, 1))
-        b = sample_matrix(kind_b, n, dist, substream(seed, rep, kind_b, idx_b))
-        m = (a + b) / np.sqrt(n)
+        # (A + B)/sqrt(n) in A's buffer; B is freed as soon as it is added
+        m = sample_matrix(kind_a, n, dist, substream(seed, rep, kind_a, 1))
+        m += sample_matrix(kind_b, n, dist, substream(seed, rep, kind_b, idx_b))
+        m /= np.sqrt(n)
         eigs = eigenvalues_symmetric(m)
         pooled.append(eigs)
         moments[rep] = [float((eigs**k).mean()) for k in range(1, kmax + 1)]

@@ -11,14 +11,15 @@ brute-force counts check), Monte Carlo case volumes from the earlier
 single-threaded kernel, patterned matrices from a key grid gather and
 trace moments from a left-to-right product chain.  It
 also holds the test helpers that enumerate monomials and rotate
-monomials and words, and the trace-moment concentration check of
-acceptance criterion C8.
+monomials and words, the trace-moment concentration check of
+acceptance criterion C8, and the traced allocation peak of one call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import Sequence
 
@@ -102,6 +103,21 @@ def concentration_check(
     ys = np.log([max(r.value, 1e-300) for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return rows, slope
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes traced by tracemalloc during call(), after one untraced warm-up call.
+
+    numpy reports its array data to tracemalloc, so the peak counts every
+    array the call allocates, exactly, whatever the machine's load.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def word_pairs(word_text: str) -> list[tuple[int, int]]:

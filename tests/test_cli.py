@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,26 @@ def test_tables_exact_prints_true_volumes(capsys):
     assert flagged == {"HHHSHS, aabcbc", "HHHSHS, abbcac"}
 
 
+def test_tables_exact_flags_by_rational_inequality(capsys, monkeypatch):
+    code, _, err = run(capsys, "tables", "--method", "exact")
+    assert code == EXIT_NUMERIC
+    assert err == (
+        "tables: |err| > 0 for (HHHSHS, aabcbc): 0.1667\n"
+        "tables: |err| > 0 for (HHHSHS, abbcac): 0.1667\n"
+    )
+    # an exact volume off by far less than the Monte Carlo tolerance is still flagged
+    rows = iter(ALL_ROWS)
+
+    def near_published(w, method, **kwargs):
+        # tables asks for the rows' volumes in table order
+        return limits.VolumeEstimate(next(rows).p_published + Fraction(1, 10**6), 0.0)
+
+    monkeypatch.setattr(limits, "p_limit_cached", near_published)
+    code, _, err = run(capsys, "tables", "--method", "exact")
+    assert code == EXIT_NUMERIC
+    assert len(err.splitlines()) == len(ALL_ROWS)
+
+
 def test_moments_embeds_config(capsys):
     code, out, _ = run(
         capsys, "moments", "--q", "TT", "--n", "64", "--reps", "10", "--seed", "9",
@@ -185,7 +206,8 @@ def test_freeness_command(capsys):
     payload = json.loads(out)
     assert payload["free"] is True
     assert payload["alpha"] == payload["free_prediction"] == 1.0
-    assert (payload["deviation"], payload["method"]) == (0, "exact")
+    assert payload["alpha_exact"] == payload["free_prediction_exact"] == "1"
+    assert "deviation" not in payload and payload["method"] == "exact"
 
 
 def test_determinism_byte_identical(capsys):
@@ -345,8 +367,8 @@ _META = ["seed", "budget", "version"]
         pytest.param(
             ["freeness", "--q", "WWHH"],
             [
-                "q", "alpha", "free_prediction", "empirical", "empirical_sd",
-                "deviation", "empirical_deviation", "free", "n", *_META, "method",
+                "q", "alpha", "alpha_exact", "free_prediction", "free_prediction_exact",
+                "empirical", "empirical_sd", "empirical_deviation", "free", "n", *_META, "method",
             ],
             id="freeness",
         ),

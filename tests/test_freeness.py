@@ -135,10 +135,17 @@ def test_prediction_with_non_wigner_guide_detects_dependence():
 def test_freeness_report_examples():
     r = freeness_report(parse_monomial("WTWT"))
     assert r.alpha == r.free_prediction == Fraction(0)
-    assert r.free is True and r.deviation == 0.0
+    assert r.free is True
     r = freeness_report(parse_monomial("WWHH"))
     assert r.alpha == r.free_prediction == Fraction(1)
-    assert r.free is True and r.deviation == 0.0
+    assert r.free is True
+
+
+def test_freeness_report_prints_exact_rationals():
+    d = freeness_report(parse_monomial("WWTHTH")).to_json_dict()
+    assert (d["alpha"], d["alpha_exact"]) == (2 / 3, "2/3")
+    assert (d["free_prediction"], d["free_prediction_exact"]) == (2 / 3, "2/3")
+    assert "deviation" not in d
 
 
 def test_freeness_report_rejects_wrong_monomials():

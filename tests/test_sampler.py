@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import sample_matrix_reference, trace_moment_reference
+from oracles import sample_matrix_reference, trace_moment_reference, traced_peak_bytes
 from patrm.algebra import parse_monomial
 from patrm.limits import alpha
 from patrm.linkfns import ALL_KINDS, LinkKind, lvalue_key_grid
@@ -125,6 +125,13 @@ def test_sample_matrix_equals_key_grid_gather(kind, dist):
         assert m.tobytes() == ref.tobytes(), n
         # both consumed the same number of draws
         assert rng.random() == ref_rng.random(), n
+
+
+def test_wigner_fill_allocates_no_key_grid():
+    # the n(n+1)/2 draws and the output: no n x n int64 grid and no gather
+    n = 256
+    peak = traced_peak_bytes(lambda: sample_matrix(LinkKind.WIGNER, n, GAUSS, np.random.default_rng(3)))
+    assert peak <= 1.6 * n * n * 8
 
 
 # word -> dense products per replicate: matching halves need one half product

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import JacobiConvergenceError, determinant_exact, jacobi_eigenvalues
+from oracles import JacobiConvergenceError, determinant_exact, jacobi_eigenvalues, traced_peak_bytes
 from patrm.linkfns import LinkKind
 from patrm.sampler import DEFAULT_SIZE_CAP, InputDistribution, sample_matrix, substream
 from patrm.spectra import Histogram, eigenvalues_symmetric, esd, sum_lsd_report
@@ -69,6 +69,65 @@ def test_rejects_asymmetric_and_oversized():
         eigenvalues_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigenvalues_symmetric(np.eye(DEFAULT_SIZE_CAP + 1))
+
+
+def _with_asymmetry(a, d):
+    # A[0, 1] = d against A[1, 0] = 0: an asymmetry of exactly |d|
+    m = np.array(a, dtype=float)
+    m[0, 1], m[1, 0] = d, 0.0
+    return m
+
+
+def _accepted(m):
+    try:
+        eigenvalues_symmetric(m)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("largest", [4.0, -4.0, 3e7, -2.5e-20])
+def test_symmetry_check_edge_is_relative_to_largest_magnitude(largest):
+    a = np.diag([0.5 * largest, 0.0, largest])
+    edge = 1e-10 * abs(largest)
+    assert _accepted(_with_asymmetry(a, edge))
+    assert _accepted(_with_asymmetry(a, -np.nextafter(edge, 0)))
+    assert not _accepted(_with_asymmetry(a, np.nextafter(edge, np.inf)))
+    assert not _accepted(_with_asymmetry(a, -np.nextafter(edge, np.inf)))
+
+
+def test_symmetry_check_on_zero_and_integer_matrices():
+    # the all-zero matrix has scale 0, which falls back to 1.0
+    assert eigenvalues_symmetric(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
+    # an int matrix is checked as floats, at tolerance 1e-10 * 10**11 = 10.0
+    big = 10**11
+    assert eigenvalues_symmetric(np.array([[big, 10], [0, 1]])).dtype == float
+    with pytest.raises(ValueError):
+        eigenvalues_symmetric(np.array([[big, 11], [0, 1]]))
+    with pytest.raises(ValueError):
+        eigenvalues_symmetric(np.array([[0, 1], [0, 0]]))
+
+
+def test_symmetry_check_passes_nan_input_to_the_solver():
+    # a NaN makes both maxima NaN and NaN > NaN is false, so the check passes;
+    # LAPACK reads the lower triangle only, where this matrix is the identity
+    m = np.eye(3)
+    m[0, 1], m[0, 2] = np.nan, 5.0
+    assert eigenvalues_symmetric(m).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_eigenvalues_symmetric_allocates_one_scratch_matrix():
+    n = 256
+    m = _random_symmetric(n, np.random.default_rng(6))
+    assert traced_peak_bytes(lambda: eigenvalues_symmetric(m)) <= 1.3 * n * n * 8
+
+
+def test_sum_report_allocates_only_the_sum_and_one_summand():
+    # A + B is formed in A's buffer; B and the check's scratch are freed in turn
+    n = 256
+    kind_t, kind_h = LinkKind.TOEPLITZ, LinkKind.HANKEL
+    peak = traced_peak_bytes(lambda: sum_lsd_report(kind_t, kind_h, n, GAUSS, 1, seed=2))
+    assert peak <= 3.3 * n * n * 8
 
 
 def test_moment_esd_agreement():
