@@ -15,12 +15,12 @@ volume is the sum over its surviving cases, evaluated by Monte Carlo,
 or exactly: each case is a rational polytope in the unit box, whose
 volume is integrated one coordinate at a time (Fourier-Motzkin) in
 integer and Fraction arithmetic.  Words equal up to rotation and
-reversal have equal volumes, so the exact monomial limit integrates one
-word per such class.  The Monte Carlo kernel draws each case's points
-in fixed-size chunks into reused buffers, split over threads that each
-jump to their own offset of the case's one PCG64 stream, so its memory
-does not grow with the sample count and its estimate is the same for
-any number of threads.
+reversal have equal volumes, so p_limit_cached integrates one word per
+such class per process, shared by every monomial limit of the run.  The
+Monte Carlo kernel draws each case's points in fixed-size chunks into
+reused buffers, split over threads that each jump to their own offset
+of the case's one PCG64 stream, so its memory does not grow with the
+sample count and its estimate is the same for any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -174,9 +174,9 @@ class VolumeEstimate(NamedTuple):
     stderr: float
 
 
-def _sum_estimates(estimates) -> VolumeEstimate:
-    """Sum of independent estimates: values add, variances add."""
-    total, var = 0.0, 0.0
+def _sum_estimates(estimates, total: float | Fraction = 0.0) -> VolumeEstimate:
+    """Sum of independent estimates, from total: values add, variances add."""
+    var = 0.0
     for est in estimates:
         total += est.value
         var += est.stderr ** 2
@@ -635,8 +635,16 @@ def p_limit_cached(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> VolumeEstimate:
-    """p_limit memoized on the word and its arguments; same value, computed once."""
-    key = (w.letters, w.colors, w.indices, method, samples, seed, budget)
+    """p_limit memoized per process; an exact volume once per dihedral class.
+
+    The exact key adds color consistency and the budget; a Monte Carlo key
+    is the word and every argument, since its seed names the word.
+    """
+    _check_request(method, samples)
+    if method == "exact":
+        key = (dihedral_key(w), w.is_color_consistent(), method, budget)
+    else:
+        key = (w.letters, w.colors, w.indices, method, samples, seed, budget)
     if key not in _P_CACHE:
         _P_CACHE[key] = p_limit(w, method, samples=samples, seed=seed, budget=budget)
     return _P_CACHE[key]
@@ -668,25 +676,15 @@ def alpha_estimate(
 ) -> VolumeEstimate:
     """(value, stderr) of the limiting expected normalized trace moment.
 
-    The sum of the volumes of the monomial's pair-matched words.  "mc"
-    adds every word's estimate.  "exact" groups the words by
-    dihedral_key, whose classes share one volume, integrates the first
-    word of each class (each word with its own budget), and returns the
-    Fraction sum of class size times class volume, stderr 0.
+    The sum of its pair-matched words' volumes through p_limit_cached: "mc"
+    estimates every word; "exact" integrates one word per dihedral class per
+    process, each under its own budget, and returns a Fraction, stderr 0.
     """
     _check_request(method, samples)
     words = pair_matched_words(q, budget)
-    if method == "exact":
-        classes: dict = {}
-        for w in words:
-            classes.setdefault(dihedral_key(w), []).append(w)
-        total = sum(
-            (len(members) * p_limit(members[0], method, budget=budget).value for members in classes.values()),
-            Fraction(0),
-        )
-        return VolumeEstimate(total, 0.0)
     return _sum_estimates(
-        p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget) for w in words
+        (p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget) for w in words),
+        Fraction(0) if method == "exact" else 0.0,
     )
 
 

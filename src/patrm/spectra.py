@@ -29,9 +29,11 @@ def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    # max|A| and max|A - A.T| through one scratch buffer, freed before the solve
+    # max|A|, which must be finite, and max|A - A.T| through one scratch buffer, freed before the solve
     buf = np.abs(A)
     scale = buf.max() or 1.0
+    if not np.isfinite(scale):
+        raise FloatingPointError("matrix has a non-finite entry")
     np.abs(np.subtract(A, A.T, out=buf), out=buf)
     if buf.max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")

@@ -444,6 +444,8 @@ def test_exact_volume_is_constant_on_dihedral_classes():
     volumes = {}
 
     def volume(w):
+        # p_limit, never p_limit_cached, which keys exact volumes by the class
+        # under test and so would only compare the cache with itself
         if w not in volumes:
             volumes[w] = p_limit(w, "exact").value
         return volumes[w]
@@ -466,10 +468,17 @@ def test_exact_alpha_integrates_one_word_per_dihedral_class(monkeypatch, length,
         integrated.append(dihedral_key(w))
         return VolumeEstimate(Fraction(1), 0.0)
 
+    # a private cache, so the stub's volumes never reach the process's one
+    monkeypatch.setattr(limits, "_P_CACHE", {})
     monkeypatch.setattr(limits, "p_limit", unit_volume)
     # with every class at volume 1 the limit counts the words: the class sizes
     assert alpha_estimate(parse_monomial("T" * length), "exact") == (words, 0.0)
     assert len(integrated) == len(set(integrated)) == classes
+    assert len(limits._P_CACHE) == classes
+    # a copy monomial's words lie in the same classes, so it integrates none
+    copies = parse_monomial("T1" * (length - 4) + "T2" * 4)
+    assert alpha_estimate(copies, "exact") == (count_pairings(length - 4) * 3, 0.0)
+    assert len(integrated) == len(limits._P_CACHE) == classes
 
 
 def _closed_form_s(q):
@@ -487,9 +496,9 @@ def _closed_form_r(q):
 
 
 @pytest.mark.parametrize("kind,closed_form", [("S", _closed_form_s), ("R", _closed_form_r)], ids=["S", "R"])
-@pytest.mark.parametrize("length", [4, 6])
-def test_circulant_copy_monomials_take_their_closed_forms(kind, closed_form, length):
-    for q in all_monomials([LinkKind.from_char(kind)], length, indices=(1, 2, 3)):
+@pytest.mark.parametrize("length,copies", [(4, 3), (6, 3), (8, 2)], ids=["4", "6", "8"])
+def test_circulant_copy_monomials_take_their_closed_forms(kind, closed_form, length, copies):
+    for q in all_monomials([LinkKind.from_char(kind)], length, indices=tuple(range(1, copies + 1))):
         assert alpha_estimate(q, "exact").value == closed_form(q), str(q)
 
 
@@ -796,6 +805,12 @@ def test_cached_volume_distinguishes_copy_indices():
     split = word_from_text("abba", parse_monomial("W1W1W2W2"))
     assert p_limit_cached(uniform, "mc", samples=100, seed=0).value == 1.0
     assert p_limit_cached(split, "mc", samples=100, seed=0).value == 0.0
+    # the exact key drops copy indices but keeps color consistency
+    assert p_limit_cached(uniform, "exact").value == 1
+    assert p_limit_cached(split, "exact").value == 0
+    # a cached class still checks the request
+    with pytest.raises(ValueError):
+        p_limit_cached(uniform, "exact", samples=0)
 
 
 def test_negative_master_seed_accepted():
@@ -817,11 +832,13 @@ def test_dedup_never_merges_distinct_positive_cases():
 
 def test_cached_volume_equals_uncached_on_reference_rows():
     # the memo only stores p_limit's value: the word's stream comes from
-    # p_limit itself, whichever entry point is called
+    # p_limit itself, whichever entry point is called, and an exact volume
+    # stored under the word's dihedral class is the word's own
     for row in ALL_ROWS:
         w = word(row.word, row.monomial)
         direct = p_limit(w, "mc", samples=2000, seed=1)
         assert p_limit_cached(w, "mc", samples=2000, seed=1) == direct, (row.monomial, row.word)
+        assert p_limit_cached(w, "exact") == p_limit(w, "exact"), (row.monomial, row.word)
 
 
 def test_pair_matched_words_skips_enumeration_at_zero_count(monkeypatch):

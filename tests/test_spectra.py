@@ -108,12 +108,19 @@ def test_symmetry_check_on_zero_and_integer_matrices():
         eigenvalues_symmetric(np.array([[0, 1], [0, 0]]))
 
 
-def test_symmetry_check_passes_nan_input_to_the_solver():
-    # a NaN makes both maxima NaN and NaN > NaN is false, so the check passes;
-    # LAPACK reads the lower triangle only, where this matrix is the identity
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 1): np.nan, (0, 2): 5.0}, {(0, 0): np.nan}, {(1, 2): np.inf, (2, 1): np.inf}],
+    ids=["nan-beside-asymmetry", "nan-on-diagonal", "inf"],
+)
+def test_symmetry_check_rejects_non_finite_input(entries):
+    # a NaN makes both maxima NaN and NaN > NaN is false, so the asymmetry
+    # test alone would pass it on to LAPACK, which reads one triangle only
     m = np.eye(3)
-    m[0, 1], m[0, 2] = np.nan, 5.0
-    assert eigenvalues_symmetric(m).tolist() == [1.0, 1.0, 1.0]
+    for ij, value in entries.items():
+        m[ij] = value
+    with pytest.raises(FloatingPointError):
+        eigenvalues_symmetric(m)
 
 
 def test_eigenvalues_symmetric_allocates_one_scratch_matrix():
