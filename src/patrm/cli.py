@@ -235,11 +235,8 @@ def cmd_lsd(args) -> int:
 def cmd_freeness(args) -> int:
     from .freeness import freeness_report
 
-    q = parse_monomial(args.q)
-    report = freeness_report(
-        q, n=args.n, dist=InputDistribution(args.dist), reps=args.reps, seed=args.seed, budget=args.budget
-    )
-    return _report(args, {**report.to_json_dict(), "n": args.n}, method="exact")
+    report = freeness_report(parse_monomial(args.q), budget=args.budget)
+    return _report(args, report.to_json_dict(), method="exact")
 
 
 def _option(flag: str, **kwargs) -> argparse.ArgumentParser:
@@ -295,9 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--out", help="CSV path; JSON sidecar written next to it")
 
-    p = command("freeness", cmd_freeness, "freeness verdict for a Wigner-mixing monomial", q, dist)
-    p.add_argument("--n", type=int, default=0, help="simulate empirical moment at this size")
-    p.add_argument("--reps", type=int, default=0)
+    command("freeness", cmd_freeness, "freeness verdict for a Wigner-mixing monomial", q)
     return parser
 
 

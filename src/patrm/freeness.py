@@ -1,4 +1,4 @@
-"""Non-crossing pair-partition moment predictions and freeness diagnostics.
+"""Non-crossing pair-partition moment predictions and the exact freeness verdict.
 
 The prediction machinery evaluates mixed moments of a free semicircular
 family against the limits of the other letters: decompose the monomial
@@ -8,24 +8,27 @@ limits (alpha) along the cycles of the partition composed with the full
 cycle.  Wigner copies play the semicircular role; the same machinery with
 another kind in that role quantifies *non*-freeness.  The partitions are
 the Catalan pair-matched words of the guide letters, so multi-copy guide
-families only pair equal copy labels.  A tier-1 test checks that the
-exact prediction equals the exact limit for every mixed {W, X} monomial of
-length 2..8 and {W1, W2, X1, X2} monomial of length 2..6, X = T, H, R or
-S; more copies or longer monomials are not checked.
+families only pair equal copy labels.  `freeness_report` decides by
+Fraction equality of the two exact values; it simulates nothing.  A tier-1
+test checks that the exact prediction equals the exact limit for every
+mixed {W, X} monomial of length 2..8 and {W1, W2, X1, X2} monomial of
+length 2..6, X = T, H, R or S; more copies or longer monomials are not
+checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import limits
 from .algebra import Monomial, is_catalan, match_pairs
 from .linkfns import LinkKind
-from .sampler import InputDistribution, _check_size, empirical_trace_moment, sample_matrix, substream
+
+# unused, but pinned by perfbench/test_perfbench.py and tests/test_package.py;
+# it is why this module still loads numpy
+from .sampler import sample_matrix  # noqa: F401
 
 CyclePermutation = tuple[tuple[int, ...], ...]
 
@@ -146,14 +149,11 @@ def free_moment_prediction(
 
 @dataclass(frozen=True)
 class FreenessReport:
-    """Exact limit vs free prediction (and optional simulation) for one monomial."""
+    """Exact limit vs exact free prediction for one monomial."""
 
     q: str
     alpha: Fraction
     free_prediction: Fraction
-    empirical: Optional[float]
-    empirical_sd: Optional[float]
-    empirical_deviation: Optional[float]  # |empirical - prediction|
     free: bool  # alpha == prediction
 
     def to_json_dict(self) -> dict:
@@ -164,82 +164,22 @@ class FreenessReport:
             "alpha_exact": str(self.alpha),
             "free_prediction": float(self.free_prediction),
             "free_prediction_exact": str(self.free_prediction),
-            "empirical": self.empirical,
-            "empirical_sd": self.empirical_sd,
-            "empirical_deviation": self.empirical_deviation,
             "free": self.free,
         }
 
 
-def freeness_report(
-    q: Monomial,
-    n: int = 0,
-    dist: InputDistribution = InputDistribution.GAUSSIAN,
-    reps: int = 0,
-    seed: int = 0,
-    budget: int = limits.DEFAULT_BUDGET,
-) -> FreenessReport:
+def freeness_report(q: Monomial, budget: int = limits.DEFAULT_BUDGET) -> FreenessReport:
     """Compare the exact limit with the exact free prediction for one monomial.
 
     The monomial must mix Wigner letters with at least one other kind (the
     freeness claim is specific to the Wigner role); the verdict is Fraction
-    equality.  The empirical column, simulated when n and reps are >= 1, is
-    advisory.  Negative n or reps, only one of them >= 1, and n above the
-    sampler's size cap fail before any limit is computed.
+    equality.  The budget bounds both, as in limits.alpha.
     """
     kinds = {kind for kind, _ in q.letters}
     if LinkKind.WIGNER not in kinds:
         raise ValueError("freeness check requires at least one Wigner letter")
     if kinds == {LinkKind.WIGNER}:
         raise ValueError("freeness check requires at least one non-Wigner letter")
-    if n < 0 or reps < 0:
-        raise ValueError(f"n and reps must be >= 0, got n={n}, reps={reps}")
-    if (n >= 1) != (reps >= 1):
-        raise ValueError(f"simulating needs both n and reps >= 1, got n={n}, reps={reps}")
-    _check_size(n)
     a_val = limits.alpha(q, "exact", budget=budget)
     pred = free_moment_prediction(q, method="exact", budget=budget)
-    emp = emp_sd = emp_dev = None
-    if n >= 1:
-        est = empirical_trace_moment(q, n, dist, reps, seed)
-        emp, emp_sd = est.mean, est.stddev
-        emp_dev = abs(emp - pred)
-    return FreenessReport(str(q), a_val, pred, emp, emp_sd, emp_dev, a_val == pred)
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    n: int
-    value: float
-
-
-def trace_factorization_check(
-    kind: LinkKind,
-    powers: Sequence[int],
-    n_list: Sequence[int],
-    dist: InputDistribution,
-    reps: int,
-    seed: int = 0,
-) -> list[DecayRow]:
-    """Covariance-style gap E[prod tr X^k_i] - prod E[tr X^k_i] per size.
-
-    All traces are of powers of one scaled matrix; the gap vanishes as n
-    grows when the ensemble's spectral moments concentrate.
-    """
-    if len(powers) < 2:
-        raise ValueError("need at least two powers")
-    rows = []
-    for n in n_list:
-        per_power = np.empty((reps, len(powers)))
-        for rep in range(reps):
-            x = sample_matrix(kind, n, dist, substream(seed, rep, kind, 1))
-            acc = x
-            traces = {1: np.trace(x)}
-            for p in range(2, max(powers) + 1):
-                acc = acc @ x
-                traces[p] = np.trace(acc)
-            for ci, p in enumerate(powers):
-                per_power[rep, ci] = traces[p] / n ** (1 + p / 2)
-        gap = float(per_power.prod(axis=1).mean() - per_power.mean(axis=0).prod())
-        rows.append(DecayRow(int(n), gap))
-    return rows
+    return FreenessReport(str(q), a_val, pred, a_val == pred)

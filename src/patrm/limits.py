@@ -638,7 +638,11 @@ def p_limit_cached(
     """p_limit memoized per process; an exact volume once per dihedral class.
 
     The exact key adds color consistency and the budget; a Monte Carlo key
-    is the word and every argument, since its seed names the word.
+    is the word and every argument, since its seed names the word.  An
+    exact class integrates the first member the process meets: its volume
+    does not depend on that order, but the branches charged to the budget
+    do, so whether a sequence of exact calls raises BudgetExceededError
+    can depend on its order.
     """
     _check_request(method, samples)
     if method == "exact":

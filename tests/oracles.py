@@ -11,8 +11,9 @@ brute-force counts check), Monte Carlo case volumes from the earlier
 single-threaded kernel, patterned matrices from a key grid gather and
 trace moments from a left-to-right product chain.  It
 also holds the test helpers that enumerate monomials and rotate
-monomials and words, the trace-moment concentration check of
-acceptance criterion C8, and the traced allocation peak of one call.
+monomials and words, the trace-factorization and trace-moment
+concentration checks of acceptance criteria C9 and C8, and the traced
+allocation peak of one call.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from patrm.algebra import ColoredWord, Monomial, canonical_letters
-from patrm.freeness import DecayRow
 from patrm.limits import (
     _CASE_RELATIONS,
     DEFAULT_BUDGET,
@@ -78,6 +79,38 @@ def cyclic_rotate(w: ColoredWord, shift: int) -> ColoredWord:
     colors = tuple(w.colors[(i + shift) % n] for i in range(n))
     indices = tuple(w.indices[(i + shift) % n] for i in range(n))
     return ColoredWord(canonical_letters(letters), colors, indices)
+
+
+@dataclass(frozen=True)
+class DecayRow:
+    n: int
+    value: float
+
+
+def trace_factorization_check(
+    kind: LinkKind,
+    powers: Sequence[int],
+    n_list: Sequence[int],
+    dist: InputDistribution,
+    reps: int,
+    seed: int = 0,
+) -> list[DecayRow]:
+    """Covariance-style gap E[prod tr X^k_i] - prod E[tr X^k_i] per size.
+
+    All traces are of powers of one scaled matrix: every power draws the
+    same matrix per replicate, from substream(seed, rep, kind, 1).  The gap
+    vanishes as n grows when the ensemble's spectral moments concentrate.
+    """
+    if len(powers) < 2:
+        raise ValueError("need at least two powers")
+    rows = []
+    for n in n_list:
+        per_power = np.column_stack(
+            [trace_moment_samples(Monomial(((kind, 1),) * p), n, dist, reps, seed) for p in powers]
+        )
+        gap = float(per_power.prod(axis=1).mean() - per_power.mean(axis=0).prod())
+        rows.append(DecayRow(int(n), gap))
+    return rows
 
 
 def concentration_check(

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from oracles import all_monomials, circuit_count_bruteforce, concentration_check
+from oracles import all_monomials, circuit_count_bruteforce, concentration_check, trace_factorization_check
 from patrm.algebra import (
     Monomial,
     drop_indices,
@@ -23,7 +23,7 @@ from patrm.algebra import (
     parse_monomial,
     word_from_text,
 )
-from patrm.freeness import free_moment_prediction, trace_factorization_check
+from patrm.freeness import free_moment_prediction
 from patrm.limits import (
     alpha,
     alpha_bound,

@@ -177,17 +177,8 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
     "argv,message",
     [
         (["moments", "--q", "TT", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
-        (["freeness", "--q", "WWTT", "--n", "1201", "--reps", "1"], "matrix size 1201 exceeds cap 1200"),
-        (["freeness", "--q", "WWTT", "--n", "-3", "--reps", "2"], "n and reps must be >= 0"),
-        (["freeness", "--q", "WWTT", "--n", "64", "--reps", "-1"], "n and reps must be >= 0"),
-        # one of the two alone would simulate nothing
-        (["freeness", "--q", "WWTT", "--n", "64"], "simulating needs both n and reps >= 1, got n=64, reps=0"),
-        (["freeness", "--q", "WWTT", "--reps", "5"], "simulating needs both n and reps >= 1, got n=0, reps=5"),
     ],
-    ids=[
-        "moments-n-1201", "freeness-n-1201", "freeness-n--3", "freeness-reps--1", "freeness-n-only",
-        "freeness-reps-only",
-    ],
+    ids=["moments-n-1201"],
 )
 def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -367,8 +358,8 @@ _META = ["seed", "budget", "version"]
         pytest.param(
             ["freeness", "--q", "WWHH"],
             [
-                "q", "alpha", "alpha_exact", "free_prediction", "free_prediction_exact",
-                "empirical", "empirical_sd", "empirical_deviation", "free", "n", *_META, "method",
+                "q", "alpha", "alpha_exact", "free_prediction", "free_prediction_exact", "free",
+                *_META, "method",
             ],
             id="freeness",
         ),
@@ -414,20 +405,28 @@ def test_samples_only_beside_method(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,rejected",
     [
-        ["moments", "--q", "TT", "--n", "16", "--samples", "10"],
-        ["freeness", "--q", "WWTT", "--samples", "10"],
-        ["freeness", "--q", "WWTT", "--tol", "0.1"],
+        (["moments", "--q", "TT", "--n", "16"], ["--samples", "10"]),
+        (["freeness", "--q", "WWTT"], ["--samples", "10"]),
+        (["freeness", "--q", "WWTT"], ["--tol", "0.1"]),
+        # freeness simulates nothing; moments --n N --reps R gives the simulated moment
+        (["freeness", "--q", "WWTT"], ["--n", "64", "--reps", "2"]),
+        (["freeness", "--q", "WWTT"], ["--reps", "5"]),
+        (["freeness", "--q", "WWTT"], ["--dist", "gaussian"]),
     ],
-    ids=["moments-samples", "freeness-samples", "freeness-tol"],
+    ids=["moments-samples", "freeness-samples", "freeness-tol", "freeness-n-reps", "freeness-reps", "freeness-dist"],
 )
-def test_exact_limit_commands_reject_monte_carlo_options(capsys, argv):
+def test_exact_limit_commands_reject_monte_carlo_options(capsys, monkeypatch, argv, rejected):
+    def no_limit(*args, **kwargs):
+        raise AssertionError("computed a limit before rejecting the options")
+
+    monkeypatch.setattr(limits, "alpha", no_limit)
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([*argv, *rejected])
     assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == "" and f"unrecognized arguments: {' '.join(rejected)}" in captured.err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

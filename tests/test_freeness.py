@@ -11,6 +11,7 @@ from oracles import (
     concentration_check,
     matchings_bruteforce,
     noncrossing_matchings_bruteforce,
+    trace_factorization_check,
 )
 from patrm import limits
 from patrm.algebra import (
@@ -26,7 +27,6 @@ from patrm.freeness import (
     free_moment_prediction,
     freeness_report,
     sigma_gamma_cycles,
-    trace_factorization_check,
 )
 from patrm.limits import alpha, alpha_estimate, count_circuits_exact, p_limit_cached
 from patrm.linkfns import LinkKind
@@ -153,12 +153,6 @@ def test_freeness_report_rejects_wrong_monomials():
         freeness_report(parse_monomial("THTH"))
     with pytest.raises(ValueError):
         freeness_report(parse_monomial("WWWW"))
-
-
-def test_freeness_report_empirical_column():
-    r = freeness_report(parse_monomial("WWHH"), n=150, reps=40, seed=6)
-    assert r.empirical == pytest.approx(r.free_prediction, abs=0.1)
-    assert r.empirical_sd is not None
 
 
 def test_two_wigner_copies_prediction():

@@ -428,7 +428,7 @@ def test_exact_volume_is_constant_on_dihedral_classes():
     # rotating or reversing a word leaves its exact volume unchanged, so
     # every word's volume is that of the representative its key names
     words = [word(text, colors) for length in (2, 4, 6) for text, colors in _color_consistent_words(length)]
-    for mono in ("TTTTTTTT", "HHHHHHHH", "RRRRRRRR", "THTHTHTH"):
+    for mono in ("TTTTTTTT", "HHHHHHHH", "RRRRRRRR", "THTHTHTH", "SSSSSSSS", "WWWWWWWW"):
         words += enumerate_pair_matched_words(parse_monomial(mono))
     # the words of the freeness sweep: every {W, X} monomial of length <= 8 holding both kinds
     sweep = {
@@ -457,7 +457,7 @@ def test_exact_volume_is_constant_on_dihedral_classes():
         assert dihedral_key(rep) == key
         assert volume(w) == volume(rep), (w.text, w.color_text)
         keys.add(key)
-    assert (len(words), len(keys)) == (2279 + 6264, 941)
+    assert (len(words), len(keys)) == (2279 + 6264 + 210, 941 + 34)
 
 
 @pytest.mark.parametrize("length,words,classes", [(8, 105, 17), (10, 945, 79)])
