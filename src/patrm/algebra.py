@@ -114,14 +114,6 @@ class ColoredWord:
             seen.setdefault(lid, (col, idx))
         return True
 
-    def to_json_dict(self) -> dict:
-        return {
-            "word": self.text,
-            "colors": self.color_text,
-            "indices": list(self.indices),
-            "catalan": is_catalan(self) if self.is_pair_matched() else False,
-        }
-
 
 def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     rename: dict[int, int] = {}

@@ -115,7 +115,10 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_words(args) -> int:
     q = parse_monomial(args.q)
     words = limits.pair_matched_words(q, args.budget)
-    return _report(args, {"q": str(q), "words": [w.to_json_dict() for w in words], "count": len(words)})
+    entries = [
+        {"word": w.text, "colors": w.color_text, "indices": list(w.indices), "catalan": is_catalan(w)} for w in words
+    ]
+    return _report(args, {"q": str(q), "words": entries, "count": len(words)})
 
 
 def cmd_tables(args) -> int:
@@ -181,10 +184,19 @@ def cmd_alpha(args) -> int:
     })
 
 
+def _charge_draws(args, matrices: int) -> None:
+    """Charge the simulation's reps x matrices x n^2 entries against --budget, before any draw."""
+    # a negative --n fills nothing; the library rejects it as a usage error
+    entries = args.reps * matrices * max(args.n, 0) ** 2
+    if entries > args.budget:
+        raise limits.BudgetExceededError(f"simulation fills ~{entries:.2e} matrix entries, budget is {args.budget:.2e}")
+
+
 def cmd_moments(args) -> int:
     from .sampler import empirical_trace_moment
 
     q = parse_monomial(args.q)
+    _charge_draws(args, len(set(q.letters)))
     dist = InputDistribution(args.dist)
     est = empirical_trace_moment(q, args.n, dist, args.reps, args.seed)
     alpha_limit: Optional[float] = None
@@ -208,18 +220,26 @@ def cmd_lsd(args) -> int:
 
     kind_a = LinkKind.from_char(args.a)
     kind_b = LinkKind.from_char(args.b)
+    _charge_draws(args, 2)
     dist = InputDistribution(args.dist)
     report = sum_lsd_report(
         kind_a, kind_b, args.n, dist, args.reps, kmax=args.kmax, bins=args.bins, seed=args.seed
     )
+    hist = report.histogram
     table = _csv_text(
         ["bin_left", "bin_right", "count", "density"],
         (
             [_format_float(left), _format_float(right), count, _format_float(density)]
-            for left, right, count, density in report.histogram.to_csv_rows()
+            for left, right, count, density in zip(hist.edges[:-1], hist.edges[1:], hist.counts, hist.density)
         ),
     )
-    sidecar = _emit_json({**report.to_json_dict(), **_run_meta(args, method="simulation")})
+    # the run's inputs, then its results; "seed" keeps its place when the metadata rewrites it
+    sidecar = _emit_json({
+        "a": kind_a.char, "b": kind_b.char, "n": args.n, "reps": args.reps, "seed": args.seed,
+        "beta": report.beta, "skewness": report.skewness, "symmetric": report.symmetric,
+        "odd_moment_max": report.odd_moment_max, "growth": report.growth,
+        "growth_nondecreasing": report.growth_nondecreasing, **_run_meta(args, method="simulation"),
+    })
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(table)
@@ -235,8 +255,14 @@ def cmd_lsd(args) -> int:
 def cmd_freeness(args) -> int:
     from .freeness import freeness_report
 
-    report = freeness_report(parse_monomial(args.q), budget=args.budget)
-    return _report(args, report.to_json_dict(), method="exact")
+    q = parse_monomial(args.q)
+    report = freeness_report(q, budget=args.budget)
+    alpha, prediction = report.alpha, report.free_prediction
+    # each rational as its float, rounded once, then its exact string, e.g. "2/3"
+    return _report(args, {
+        "q": str(q), "alpha": float(alpha), "alpha_exact": str(alpha),
+        "free_prediction": float(prediction), "free_prediction_exact": str(prediction), "free": report.free,
+    }, method="exact")
 
 
 def _option(flag: str, **kwargs) -> argparse.ArgumentParser:

@@ -151,21 +151,9 @@ def free_moment_prediction(
 class FreenessReport:
     """Exact limit vs exact free prediction for one monomial."""
 
-    q: str
     alpha: Fraction
     free_prediction: Fraction
     free: bool  # alpha == prediction
-
-    def to_json_dict(self) -> dict:
-        """The rationals as floats rounded once, each followed by its exact string, e.g. "2/3"."""
-        return {
-            "q": self.q,
-            "alpha": float(self.alpha),
-            "alpha_exact": str(self.alpha),
-            "free_prediction": float(self.free_prediction),
-            "free_prediction_exact": str(self.free_prediction),
-            "free": self.free,
-        }
 
 
 def freeness_report(q: Monomial, budget: int = limits.DEFAULT_BUDGET) -> FreenessReport:
@@ -182,4 +170,4 @@ def freeness_report(q: Monomial, budget: int = limits.DEFAULT_BUDGET) -> Freenes
         raise ValueError("freeness check requires at least one non-Wigner letter")
     a_val = limits.alpha(q, "exact", budget=budget)
     pred = free_moment_prediction(q, method="exact", budget=budget)
-    return FreenessReport(str(q), a_val, pred, a_val == pred)
+    return FreenessReport(a_val, pred, a_val == pred)

@@ -10,13 +10,14 @@ resolved by one walk over its positions: each match branches over its
 labels at its second occurrence, so cases sharing a prefix of matches
 share that prefix's forms.  A prefix is dropped at a Wigner match whose
 endpoint identification fails, since every case below it has volume
-zero; the walk returns the other cases in build_cases order.  A word's
-volume is the sum over its surviving cases, evaluated by Monte Carlo,
-or exactly: each case is a rational polytope in the unit box, whose
-volume is integrated one coordinate at a time (Fourier-Motzkin) in
-integer and Fraction arithmetic.  Words equal up to rotation and
-reversal have equal volumes, so p_limit_cached integrates one word per
-such class per process, shared by every monomial limit of the run.  The
+zero; the walk returns the other cases in build_cases order, each then
+checked for closure alone.  A word's volume is the sum over its
+surviving cases, evaluated by Monte Carlo, or exactly: each case is a
+rational polytope in the unit box, whose volume is integrated one
+coordinate at a time (Fourier-Motzkin) in integer and Fraction
+arithmetic.  Words equal up to rotation and reversal have equal
+volumes, so p_limit_cached integrates one word per such class per
+process, shared by every monomial limit of the run.  The
 Monte Carlo kernel draws each case's points in fixed-size chunks into
 reused buffers, split over threads that each jump to their own offset
 of the case's one PCG64 stream, so its memory does not grow with the
@@ -24,8 +25,8 @@ sample count and its estimate is the same for any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
-dichotomy for closure and Wigner equalities is decided symbolically,
-never by tolerance.
+dichotomy, for Wigner identifications in the walk and for closure per
+case, is decided symbolically, never by tolerance.
 """
 
 from __future__ import annotations
@@ -133,23 +134,21 @@ class ConstraintSystem:
     gen_positions lists the generating vertices (position 0 plus first
     occurrences).  dep_forms gives, for every other position, its affine
     form over the generating coordinates; the last one is the final
-    vertex, which closes the circuit on vertex 0.  equalities are the
-    extra Wigner identifications.
+    vertex, which closes the circuit on vertex 0.  The Wigner
+    identifications hold by construction: resolve_affine keeps no case
+    whose identification fails.
     """
 
     gen_positions: tuple[int, ...]
     dep_forms: tuple[tuple[int, AffineForm], ...]
-    equalities: tuple[tuple[AffineForm, AffineForm], ...]
 
     @property
     def dim(self) -> int:
         return len(self.gen_positions)
 
     def identity_ok(self) -> bool:
-        """True when closure and all equalities hold as exact form identities."""
-        if self.dep_forms[-1][1].bare_coordinate() != 0:
-            return False
-        return all(a == b for a, b in self.equalities)
+        """True when the final vertex's form is exactly v0, i.e. the circuit closes identically."""
+        return self.dep_forms[-1][1].bare_coordinate() == 0
 
     def inequality_forms(self) -> list[AffineForm]:
         """Dependent forms that need a unit-interval check under sampling.
@@ -161,10 +160,7 @@ class ConstraintSystem:
         return list(dict.fromkeys(f for _, f in self.dep_forms[:-1] if f.bare_coordinate() is None))
 
     def canonical_key(self):
-        eq_key = sorted(
-            ((a.coeffs, a.const, b.coeffs, b.const) for a, b in self.equalities)
-        )
-        return (self.gen_positions, self.dep_forms, tuple(eq_key))
+        return (self.gen_positions, self.dep_forms)
 
 
 class VolumeEstimate(NamedTuple):
@@ -220,8 +216,8 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     coords = {pos: _coordinate(slot, len(gen_positions)) for slot, pos in enumerate(gen_positions)}
     # (second occurrence, first occurrence, match index) in position order
     steps = sorted((s, f, idx) for idx, (f, s) in enumerate(pairs))
-    # (labels in step order, forms by position, dependent forms, equalities)
-    prefixes = [((), (coords[0],), (), ())]
+    # (labels in step order, forms by position, dependent forms)
+    prefixes = [((), (coords[0],), ())]
     resolved = 1  # positions with a form in every prefix
     for s, f, idx in steps:
         # the first occurrences since the last step, the same for every prefix
@@ -229,24 +225,20 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
         resolved = s + 1
         wigner = w.colors[s - 1] is LinkKind.WIGNER
         grown = []
-        for labels, forms, dep, equalities in prefixes:
+        for labels, forms, dep in prefixes:
             forms += gap
             prev, va, vb = forms[s - 1], forms[f - 1], forms[f]
             for label, (*weights, shift) in relations[idx].items():
                 form = _combine(weights, (prev, va, vb), shift)
-                eqs = equalities
-                if wigner:
-                    pinned = _combine((1, 1, -1), (va, vb, form), 0)
-                    if pinned != prev:
-                        continue
-                    eqs += ((prev, pinned),)
-                grown.append((labels + (label,), forms + (form,), dep + ((s, form),), eqs))
+                if wigner and _combine((1, 1, -1), (va, vb, form), 0) != prev:
+                    continue
+                grown.append((labels + (label,), forms + (form,), dep + ((s, form),)))
         prefixes = grown
     # step slot of each match, to key the survivors by their labels in match order
     slot_of = sorted(range(len(steps)), key=lambda slot: steps[slot][2])
     systems = {
-        tuple([labels[slot] for slot in slot_of]): ConstraintSystem(gen_positions, dep, eqs)
-        for labels, _, dep, eqs in prefixes
+        tuple([labels[slot] for slot in slot_of]): ConstraintSystem(gen_positions, dep)
+        for labels, _, dep in prefixes
     }
     return [systems[case] for case in build_cases(w) if case in systems]
 
@@ -289,9 +281,9 @@ def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: 
 def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     """Volume of one case by uniform sampling of the generating cube.
 
-    A failed closure or Wigner identity means the case sits on a proper
-    affine subspace: exact zero, no sampling.  A provably empty box check
-    (form's range disjoint from [0,1)) also short-circuits to exact zero.
+    A failed closure means the case sits on a proper affine subspace:
+    exact zero, no sampling.  A provably empty box check (form's range
+    disjoint from [0,1)) also short-circuits to exact zero.
     Otherwise the samples are drawn in chunks of _MC_CHUNK, split into
     contiguous ranges over up to _MC_WORKERS threads; each range starts at
     its own offset of the one stream, so the estimate does not depend on
@@ -415,7 +407,7 @@ def case_volume_exact(cs: ConstraintSystem, budget: BranchBudget) -> Fraction:
     bound is never paired twice; the tie sets of distinct bounds have
     measure zero.  Each step is memoized on its rows, live coordinates
     and integrand, and every pair taken is charged to the budget.
-    A failed closure or Wigner identity is exact zero, as under sampling.
+    A failed closure is exact zero, as under sampling.
     """
     if not cs.identity_ok():
         return Fraction(0)

@@ -33,7 +33,6 @@ class MomentEstimate:
 
     mean: float
     stddev: float
-    reps: int
 
 
 def seed_mod64(master_seed: int) -> int:
@@ -149,4 +148,4 @@ def empirical_trace_moment(
     """Mean and sample standard deviation of the normalized trace moment."""
     vals = trace_moment_samples(q, n, dist, reps, seed)
     sd = float(vals.std(ddof=1)) if reps > 1 else 0.0
-    return MomentEstimate(float(vals.mean()), sd, reps)
+    return MomentEstimate(float(vals.mean()), sd)

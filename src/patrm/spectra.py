@@ -52,12 +52,6 @@ class Histogram:
     total: int
     density: np.ndarray
 
-    def to_csv_rows(self) -> list[tuple[float, float, int, float]]:
-        return [
-            (float(self.edges[i]), float(self.edges[i + 1]), int(self.counts[i]), float(self.density[i]))
-            for i in range(len(self.counts))
-        ]
-
 
 def esd(
     values: Union[np.ndarray, Sequence[float]],
@@ -87,11 +81,6 @@ def esd(
 class SumReport:
     """Averaged spectral report for the scaled sum of two ensemble members."""
 
-    kind_a: LinkKind
-    kind_b: LinkKind
-    n: int
-    reps: int
-    seed: int
     histogram: Histogram
     beta: tuple[float, ...]  # beta[k-1] is the k-th averaged ESD moment
     skewness: float
@@ -99,21 +88,6 @@ class SumReport:
     odd_moment_max: float
     growth: tuple[float, ...]  # beta_{2k}^{1/2k} for k = 1..kmax//2
     growth_nondecreasing: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.kind_a.char,
-            "b": self.kind_b.char,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "beta": list(self.beta),
-            "skewness": self.skewness,
-            "symmetric": self.symmetric,
-            "odd_moment_max": self.odd_moment_max,
-            "growth": list(self.growth),
-            "growth_nondecreasing": self.growth_nondecreasing,
-        }
 
 
 def sum_lsd_report(
@@ -158,7 +132,4 @@ def sum_lsd_report(
     odd = max(abs(beta[k - 1]) for k in range(1, kmax + 1, 2))
     growth = tuple(beta[2 * k - 1] ** (1.0 / (2 * k)) for k in range(1, kmax // 2 + 1))
     nondec = all(growth[i] <= growth[i + 1] + 1e-12 for i in range(len(growth) - 1))
-    return SumReport(
-        kind_a, kind_b, n, reps, seed, esd(all_eigs, bins=bins),
-        beta, skew, abs(skew) <= 0.1, odd, growth, nondec,
-    )
+    return SumReport(esd(all_eigs, bins=bins), beta, skew, abs(skew) <= 0.1, odd, growth, nondec)

@@ -211,16 +211,6 @@ def test_color_consistency_flag():
     assert not w.is_color_consistent()
 
 
-def test_word_json_shape():
-    w = word_from_text("abab", parse_monomial("THTH"))
-    assert w.to_json_dict() == {
-        "word": "abab",
-        "colors": "THTH",
-        "indices": [1, 1, 1, 1],
-        "catalan": False,
-    }
-
-
 def test_canonical_letters():
     assert canonical_letters((5, 5, 2, 2)) == (0, 0, 1, 1)
     with pytest.raises(ValueError):

@@ -31,6 +31,13 @@ def test_words_catalan_flags(capsys):
     assert payload["seed"] == 0 and payload["version"] == __version__
 
 
+def test_word_json_shape(capsys):
+    code, out, _ = run(capsys, "words", "--q", "THTH")
+    assert code == EXIT_OK
+    entry = next(w for w in json.loads(out)["words"] if w["word"] == "abab")
+    assert list(entry.items()) == [("word", "abab"), ("colors", "THTH"), ("indices", [1, 1, 1, 1]), ("catalan", False)]
+
+
 def test_words_empty_cases(capsys):
     code, out, _ = run(capsys, "words", "--q", "THT")
     assert code == EXIT_OK and json.loads(out)["words"] == []
@@ -192,13 +199,14 @@ def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, mess
 
 
 def test_freeness_command(capsys):
-    code, out, _ = run(capsys, "freeness", "--q", "WWHH")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["free"] is True
-    assert payload["alpha"] == payload["free_prediction"] == 1.0
-    assert payload["alpha_exact"] == payload["free_prediction_exact"] == "1"
-    assert "deviation" not in payload and payload["method"] == "exact"
+    for q, value, exact in (("WWHH", 1.0, "1"), ("WWTHTH", 2 / 3, "2/3")):
+        code, out, _ = run(capsys, "freeness", "--q", q)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["free"] is True
+        assert payload["alpha"] == payload["free_prediction"] == value
+        assert payload["alpha_exact"] == payload["free_prediction_exact"] == exact
+        assert "deviation" not in payload and payload["method"] == "exact"
 
 
 def test_determinism_byte_identical(capsys):
@@ -292,6 +300,14 @@ def test_usage_errors_exit_one(capsys):
             ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "10"], id="pcw-exact"
         ),
         pytest.param(["freeness", "--q", "WWTTTT", "--budget", "5"], id="freeness"),
+        # a simulation is charged reps x matrices x n^2 entries before its first draw
+        pytest.param(["moments", "--q", "THTH", "--n", "10", "--reps", "1000000000000"], id="moments-reps"),
+        pytest.param(
+            ["moments", "--q", "SSSSSSSSSSSS", "--n", "50", "--reps", "3", "--budget", "100"], id="moments"
+        ),
+        pytest.param(
+            ["lsd", "--a", "T", "--b", "H", "--n", "10", "--reps", "100000000", "--budget", "1000"], id="lsd"
+        ),
     ],
 )
 def test_budget_exit_three(capsys, argv):
@@ -300,6 +316,13 @@ def test_budget_exit_three(capsys, argv):
     assert out == "" and "budget" in err
     if "exact" in argv:
         assert "exact integration needs more than" in err
+
+
+def test_moments_limit_over_budget_prints_null(capsys):
+    # 3 x 50^2 entries fit 10000; the 10395 words of S^12 do not
+    code, out, _ = run(capsys, "moments", "--q", "SSSSSSSSSSSS", "--n", "50", "--reps", "3", "--budget", "10000")
+    assert code == EXIT_OK
+    assert json.loads(out)["alpha_limit"] is None
 
 
 def test_case_product_budget_exit_three(capsys):

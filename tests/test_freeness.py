@@ -141,13 +141,6 @@ def test_freeness_report_examples():
     assert r.free is True
 
 
-def test_freeness_report_prints_exact_rationals():
-    d = freeness_report(parse_monomial("WWTHTH")).to_json_dict()
-    assert (d["alpha"], d["alpha_exact"]) == (2 / 3, "2/3")
-    assert (d["free_prediction"], d["free_prediction_exact"]) == (2 / 3, "2/3")
-    assert "deviation" not in d
-
-
 def test_freeness_report_rejects_wrong_monomials():
     with pytest.raises(ValueError):
         freeness_report(parse_monomial("THTH"))

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 
@@ -38,3 +39,34 @@ def test_benchmark_hooks_resolve():
     assert freeness.sample_matrix is spectra.sample_matrix is sampler.sample_matrix
     assert limits.solve_branch_grid is linkfns.solve_branch_grid
     assert isinstance(limits._P_CACHE, dict)
+
+
+# the settable parameters of the public API; a change that must raise the
+# count edits this number and says why
+SETTABLE_PARAMETERS = 156
+
+
+def _parameter_count(obj) -> int:
+    try:
+        return len(inspect.signature(obj).parameters)
+    except ValueError:
+        # exception classes built on builtin types have no signature
+        return 0
+
+
+def test_settable_parameter_count_does_not_rise():
+    import patrm
+
+    total = 0
+    for info in pkgutil.iter_modules(patrm.__path__):
+        module = importlib.import_module(f"patrm.{info.name}")
+        for name, obj in vars(module).items():
+            public = not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+            if not public or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            total += _parameter_count(obj)
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        total += len([p for p in inspect.signature(member).parameters if p != "self"])
+    assert total <= SETTABLE_PARAMETERS
