@@ -199,14 +199,13 @@ def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, mess
 
 
 def test_freeness_command(capsys):
-    for q, value, exact in (("WWHH", 1.0, "1"), ("WWTHTH", 2 / 3, "2/3")):
-        code, out, _ = run(capsys, "freeness", "--q", q)
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["free"] is True
-        assert payload["alpha"] == payload["free_prediction"] == value
-        assert payload["alpha_exact"] == payload["free_prediction_exact"] == exact
-        assert "deviation" not in payload and payload["method"] == "exact"
+    code, out, _ = run(capsys, "freeness", "--q", "WWHH")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["free"] is True
+    assert payload["alpha"] == payload["free_prediction"] == 1.0
+    assert payload["alpha_exact"] == payload["free_prediction_exact"] == "1"
+    assert "deviation" not in payload and payload["method"] == "exact"
 
 
 def test_determinism_byte_identical(capsys):

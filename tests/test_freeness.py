@@ -1,5 +1,6 @@
 
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from patrm.algebra import (
     match_pairs,
     parse_monomial,
 )
+from patrm.cli import EXIT_OK, main
 from patrm.freeness import (
     alternating_decomposition,
     free_moment_prediction,
@@ -139,6 +141,15 @@ def test_freeness_report_examples():
     r = freeness_report(parse_monomial("WWHH"))
     assert r.alpha == r.free_prediction == Fraction(1)
     assert r.free is True
+
+
+def test_freeness_report_prints_exact_rationals(capsys):
+    # the freeness command prints each rational as its float, then its exact string
+    assert main(["freeness", "--q", "WWTHTH"]) == EXIT_OK
+    d = json.loads(capsys.readouterr().out)
+    assert (d["alpha"], d["alpha_exact"]) == (2 / 3, "2/3")
+    assert (d["free_prediction"], d["free_prediction_exact"]) == (2 / 3, "2/3")
+    assert "deviation" not in d
 
 
 def test_freeness_report_rejects_wrong_monomials():
