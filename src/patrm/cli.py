@@ -59,10 +59,6 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class NonFiniteOutputError(ArithmeticError):
-    """Raised when a report would carry a NaN or infinite value."""
-
-
 def _emit_json(obj) -> str:
     """Deterministic UTF-8 JSON with floats at 17 significant digits.
 
@@ -80,7 +76,7 @@ def _emit_json(obj) -> str:
             return json.dumps(o)
         if isinstance(o, float):
             if not math.isfinite(o):
-                raise NonFiniteOutputError(f"non-finite value {o!r} in report")
+                raise FloatingPointError(f"non-finite value {o!r} in report")
             return _format_float(o)
         if isinstance(o, int):
             return str(o)
@@ -280,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--budget", type=_positive_int, default=limits.DEFAULT_BUDGET,
-        help="max enumeration steps; exact volumes are charged per integration branch",
+        help=(
+            "work cap, exit 3 past it. words, alpha, freeness: pair-matched words; tables, pcw, alpha,"
+            " freeness: affine cases and exact integration branches per word; freeness: guide pairings"
+            " and each block limit; moments, lsd: reps x m x n^2 matrix entries, m matrices per rep"
+        ),
     )
     q = _option("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
     method = _option(

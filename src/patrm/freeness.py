@@ -1,19 +1,19 @@
 """Non-crossing pair-partition moment predictions and the exact freeness verdict.
 
 The prediction machinery evaluates mixed moments of a free semicircular
-family against the limits of the other letters: decompose the monomial
-into guide letters alternating with blocks, sum over color-respecting
-non-crossing pair partitions of the guide letters, and multiply block
-limits (alpha) along the cycles of the partition composed with the full
-cycle.  Wigner copies play the semicircular role; the same machinery with
-another kind in that role quantifies *non*-freeness.  The partitions are
-the Catalan pair-matched words of the guide letters, so multi-copy guide
-families only pair equal copy labels.  `freeness_report` decides by
-Fraction equality of the two exact values; it simulates nothing.  A tier-1
-test checks that the exact prediction equals the exact limit for every
-mixed {W, X} monomial of length 2..8 and {W1, W2, X1, X2} monomial of
-length 2..6, X = T, H, R or S; more copies or longer monomials are not
-checked.
+family against the limits of the other letters: cut the monomial at its
+guide letters into blocks, cyclically and without rotating it, sum over
+color-respecting non-crossing pair partitions of the guide letters, and
+multiply block limits (alpha) along the cycles of the partition composed
+with the full cycle.  Wigner copies play the semicircular role; the same
+machinery with another kind in that role quantifies *non*-freeness.  The
+partitions are the Catalan pair-matched words of the guide letters, so
+multi-copy guide families only pair equal copy labels.  `freeness_report`
+decides by Fraction equality of the two exact values; it simulates
+nothing.  A tier-1 test checks that the exact prediction equals the exact
+limit for every mixed {W, X} monomial of length 2..8 and {W1, W2, X1, X2}
+monomial of length 2..6, X = T, H, R or S; more copies or longer
+monomials are not checked.
 """
 
 from __future__ import annotations
@@ -66,41 +66,6 @@ def sigma_gamma_cycles(sigma: Sequence[tuple[int, int]], m: int) -> CyclePermuta
     return tuple(cycles)
 
 
-@dataclass(frozen=True)
-class AlternatingMonomial:
-    """Guide letters alternating with (possibly empty) blocks of other kinds.
-
-    guide_indices[r] is the copy index of the r-th guide letter; blocks[r]
-    holds the letters between guide letters r and r+1 (cyclically for the
-    last).
-    """
-
-    guide_indices: tuple[int, ...]
-    blocks: tuple[tuple[tuple[LinkKind, int], ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.guide_indices)
-
-
-def alternating_decomposition(q: Monomial, guide_kind: LinkKind = LinkKind.WIGNER) -> AlternatingMonomial:
-    """Rotate the monomial to start on a guide letter and split into blocks."""
-    letters = q.letters
-    shift = next((i for i, (kind, _) in enumerate(letters) if kind is guide_kind), None)
-    if shift is None:
-        raise ValueError(f"monomial has no {guide_kind.char} letter")
-    letters = letters[shift:] + letters[:shift]
-    guide_indices: list[int] = []
-    blocks: list[tuple[tuple[LinkKind, int], ...]] = []
-    for kind, idx in letters:
-        if kind is guide_kind:
-            guide_indices.append(idx)
-            blocks.append(())
-        else:
-            blocks[-1] = blocks[-1] + ((kind, idx),)
-    return AlternatingMonomial(tuple(guide_indices), tuple(blocks))
-
-
 def free_moment_prediction(
     q: Monomial,
     guide_kind: LinkKind = LinkKind.WIGNER,
@@ -112,36 +77,41 @@ def free_moment_prediction(
 ) -> float | Fraction:
     """Mixed-moment value if the guide copies were a free semicircular family.
 
-    Sum over color-respecting non-crossing pair partitions of the guide
-    positions (the Catalan pair-matched words of the guide letters alone);
-    each partition contributes the product, over cycles of the
+    Block r holds the letters after guide letter r up to the next one, the
+    last block wrapping past the end of the monomial, which is never
+    rotated.  Sum over color-respecting non-crossing pair partitions of the
+    guide positions (the Catalan pair-matched words of the guide letters
+    alone); each partition contributes the product, over cycles of the
     partition composed with the full cycle, of the marginal of the
     concatenated blocks visited by that cycle: the limit alpha of the
     block monomial by `method`, or 1 for an empty block.  "mc" returns a
     float, "exact" a Fraction.  The request is checked and the budget bounds
     the guide pairings and each block limit, as in limits.alpha.
     """
-    limits._check_request(method, samples)
-    alt = alternating_decomposition(q, guide_kind)
-    zero, one = (Fraction(0), Fraction(1)) if method == "exact" else (0.0, 1.0)
-    if alt.m % 2 or len(q) % 2:
+    zero = limits._check_request(method, samples)
+    letters = q.letters
+    guides = [i for i, (kind, _) in enumerate(letters) if kind is guide_kind]
+    if not guides:
+        raise ValueError(f"monomial has no {guide_kind.char} letter")
+    m = len(guides)
+    if m % 2 or len(q) % 2:
         # an odd guide count admits no pairing; an odd length leaves an odd
         # block in every cycle product, whose alpha is 0.  Returning here
         # keeps a sweep's many odd monomials from enumerating pairings.
         return zero
-    guide = Monomial(tuple((guide_kind, i) for i in alt.guide_indices))
+    bounds = guides + [guides[0] + len(q)]
+    blocks = [(letters + letters)[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
+    guide = Monomial(tuple(letters[i] for i in guides))
     total = zero
     for w in limits.pair_matched_words(guide, budget):
         if not is_catalan(w):
             continue
-        prod = one
-        for cycle in sigma_gamma_cycles(match_pairs(w), alt.m):
-            letters: tuple = ()
-            for r in cycle:
-                letters = letters + alt.blocks[r - 1]
-            if letters:
+        prod = zero + 1
+        for cycle in sigma_gamma_cycles(match_pairs(w), m):
+            block = sum((blocks[r - 1] for r in cycle), ())
+            if block:
                 prod *= limits.alpha(
-                    Monomial(letters), method, samples=samples, seed=seed, budget=budget
+                    Monomial(block), method, samples=samples, seed=seed, budget=budget
                 )
         total += prod
     return total

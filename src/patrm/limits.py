@@ -528,11 +528,13 @@ def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET
     return total
 
 
-def _check_request(method: str, samples: int) -> None:
+def _check_request(method: str, samples: int) -> float | Fraction:
+    """Check a request; return its method's zero, Fraction(0) for "exact", 0.0 for "mc"."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    return Fraction(0) if method == "exact" else 0.0
 
 
 def _word_seed(master: int, w: ColoredWord) -> int:
@@ -560,13 +562,12 @@ def p_limit(
     returned as that Fraction, stderr 0; a zero is Fraction(0) too.
     samples < 1 is a ValueError on either route, whatever the word.
     """
-    _check_request(method, samples)
+    zero = _check_request(method, samples)
     if not w.is_pair_matched():
         raise ValueError("p_limit requires a pair-matched word")
-    zero = VolumeEstimate(Fraction(0) if method == "exact" else 0.0, 0.0)
     if not w.is_color_consistent():
         # a letter pairs positions of different kinds: no circuit qualifies
-        return zero
+        return VolumeEstimate(zero, 0.0)
 
     n_cases = case_count(w)
     if n_cases > budget:
@@ -582,10 +583,10 @@ def p_limit(
         seen.add(key)
         systems.append(cs)
     if not systems:
-        return zero
+        return VolumeEstimate(zero, 0.0)
     if method == "exact":
         branches = BranchBudget(budget)
-        return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), Fraction(0)), 0.0)
+        return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), zero), 0.0)
 
     from .sampler import seed_mod64, seed_sequence
 
@@ -676,11 +677,11 @@ def alpha_estimate(
     estimates every word; "exact" integrates one word per dihedral class per
     process, each under its own budget, and returns a Fraction, stderr 0.
     """
-    _check_request(method, samples)
+    zero = _check_request(method, samples)
     words = pair_matched_words(q, budget)
     return _sum_estimates(
         (p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget) for w in words),
-        Fraction(0) if method == "exact" else 0.0,
+        zero,
     )
 
 

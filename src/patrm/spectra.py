@@ -29,6 +29,7 @@ def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    _check_size(A.shape[0])
     # max|A|, which must be finite, and max|A - A.T| through one scratch buffer, freed before the solve
     buf = np.abs(A)
     scale = buf.max() or 1.0
@@ -38,7 +39,6 @@ def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
     if buf.max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     del buf
-    _check_size(A.shape[0])
     # LAPACK's symmetric solvers return the eigenvalues in ascending order
     return np.linalg.eigvalsh(A)
 
@@ -49,7 +49,6 @@ class Histogram:
 
     edges: np.ndarray
     counts: np.ndarray
-    total: int
     density: np.ndarray
 
 
@@ -74,7 +73,7 @@ def esd(
     total = int(counts.sum())
     widths = np.diff(edges)
     density = counts / (total * widths)
-    return Histogram(edges, counts, total, density)
+    return Histogram(edges, counts, density)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from oracles import (
     concentration_check,
     matchings_bruteforce,
     noncrossing_matchings_bruteforce,
+    rotate_monomial,
     trace_factorization_check,
 )
 from patrm import limits
@@ -24,12 +25,7 @@ from patrm.algebra import (
     parse_monomial,
 )
 from patrm.cli import EXIT_OK, main
-from patrm.freeness import (
-    alternating_decomposition,
-    free_moment_prediction,
-    freeness_report,
-    sigma_gamma_cycles,
-)
+from patrm.freeness import free_moment_prediction, freeness_report, sigma_gamma_cycles
 from patrm.limits import alpha, alpha_estimate, count_circuits_exact, p_limit_cached
 from patrm.linkfns import LinkKind
 from patrm.sampler import InputDistribution
@@ -87,16 +83,14 @@ def test_cycle_count_law(m):
         assert (len(cycles) == 1 + m // 2) == (sigma in noncrossing)
 
 
-def test_alternating_decomposition():
-    alt = alternating_decomposition(parse_monomial("WWTT"))
-    assert alt.m == 2
-    assert alt.blocks == ((), ((T, 1), (T, 1)))
-    # rotation brings the leading block behind the last guide letter
-    alt2 = alternating_decomposition(parse_monomial("TTWW"))
-    assert alt2.m == 2
-    assert alt2.blocks == ((), ((T, 1), (T, 1)))
+def test_prediction_is_rotation_invariant():
+    # blocks are cut cyclically, so the letters before the first guide letter join the last block
+    for text in ("WWTT", "TWWT", "WTHWHT", "HTWHTW", "WWTHTH"):
+        q = parse_monomial(text)
+        preds = {free_moment_prediction(rotate_monomial(q, r), method="exact") for r in range(len(q))}
+        assert preds == {alpha(q, "exact")}, text
     with pytest.raises(ValueError):
-        alternating_decomposition(parse_monomial("TTTT"))
+        free_moment_prediction(parse_monomial("TTTT"), method="exact")
 
 
 def test_prediction_examples():
@@ -162,10 +156,10 @@ def test_freeness_report_rejects_wrong_monomials():
 def test_two_wigner_copies_prediction():
     # colored filter with two independent guide copies
     q = parse_monomial("W1 T1 W2 T1 W2 T1 W1 T1")
-    alt = alternating_decomposition(q)
-    assert alt.guide_indices == (1, 2, 2, 1)
+    guide_indices = tuple(idx for kind, idx in q.letters if kind is W)
+    assert guide_indices == (1, 2, 2, 1)
     # only the nested partition respects the copy labels
-    assert nc2(alt.guide_indices) == [((1, 4), (2, 3))]
+    assert nc2(guide_indices) == [((1, 4), (2, 3))]
     pred = free_moment_prediction(q, samples=150000, seed=8)
     a, err = alpha_estimate(q, samples=150000, seed=8)
     assert abs(a - pred) <= 3 * err + 0.01

@@ -129,6 +129,17 @@ def test_eigenvalues_symmetric_allocates_one_scratch_matrix():
     assert traced_peak_bytes(lambda: eigenvalues_symmetric(m)) <= 1.3 * n * n * 8
 
 
+def test_oversized_matrix_is_rejected_before_any_scratch_buffer():
+    n = DEFAULT_SIZE_CAP + 1
+    m = np.eye(n)
+
+    def rejected():
+        with pytest.raises(ValueError, match="exceeds cap"):
+            eigenvalues_symmetric(m)
+
+    assert traced_peak_bytes(rejected) < 0.01 * n * n * 8
+
+
 def test_sum_report_allocates_only_the_sum_and_one_summand():
     # A + B is formed in A's buffer; B and the check's scratch are freed in turn
     n = 256
@@ -156,7 +167,7 @@ def test_esd_examples():
     assert np.allclose(h.edges, [-1.02, 0.0, 1.02])
     assert np.allclose(h.density, [0.5 / 1.02, 0.5 / 1.02])
     assert (h.density * widths).sum() == pytest.approx(1.0, abs=1e-12)
-    assert h.total == 4
+    assert h.counts.sum() == 4
 
 
 def test_esd_density_normalization_random():
