@@ -198,20 +198,22 @@ def drop_indices(w: ColoredWord) -> ColoredWord:
     return ColoredWord(w.letters, w.colors, tuple(1 for _ in w.indices))
 
 
-def dihedral_key(w: ColoredWord) -> tuple[tuple[int, ...], str]:
-    """The least (canonical letters, color characters) of the word's 2k rotations and reversals.
+def dihedral_key(w: ColoredWord) -> ColoredWord:
+    """The least of the word's 2k rotations and reversals: the member that names its class.
 
-    Copy indices are dropped.  Rotating a circuit gives the circuits of
-    the rotated word, since the trace is cyclic; reversing it gives those
-    of the reversed word, since every link function is symmetric.  So
-    words with equal keys have equal limit volumes.
+    Colors and copy indices move with their letters; images are ordered by
+    (canonical letters, color characters), indices only breaking ties.  A
+    rotated circuit is a circuit of the rotated word, since the trace is
+    cyclic, and a reversed one of the reversed word, since every link
+    function is symmetric.  So a word and its key have equal volumes.
     """
-    k = len(w)
-    images = []
-    for letters, colors in ((w.letters, w.color_text), (w.letters[::-1], w.color_text[::-1])):
-        for r in range(k):
-            images.append((canonical_letters(letters[r:] + letters[:r]), colors[r:] + colors[:r]))
-    return min(images)
+    forward = (w.letters, w.color_text, w.indices)
+    letters, colors, indices = min(
+        (canonical_letters(letters[r:] + letters[:r]), colors[r:] + colors[:r], indices[r:] + indices[:r])
+        for letters, colors, indices in (forward, tuple(seq[::-1] for seq in forward))
+        for r in range(len(w))
+    )
+    return ColoredWord(letters, tuple(LinkKind.from_char(c) for c in colors), indices)
 
 
 def is_catalan(w: ColoredWord) -> bool:

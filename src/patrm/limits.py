@@ -16,12 +16,13 @@ surviving cases, evaluated by Monte Carlo, or exactly: each case is a
 rational polytope in the unit box, whose volume is integrated one
 coordinate at a time (Fourier-Motzkin) in integer and Fraction
 arithmetic.  Words equal up to rotation and reversal have equal
-volumes, so p_limit_cached integrates one word per such class per
-process, shared by every monomial limit of the run.  The
-Monte Carlo kernel draws each case's points in fixed-size chunks into
-reused buffers, split over threads that each jump to their own offset
-of the case's one PCG64 stream, so its memory does not grow with the
-sample count and its estimate is the same for any number of threads.
+volumes, so p_limit_cached integrates each such class through its
+least member (dihedral_key), once per process for every monomial limit
+of the run.  The Monte Carlo kernel draws each case's points in
+fixed-size chunks into reused buffers, split over threads that each
+jump to their own offset of the case's one PCG64 stream, so its memory
+does not grow with the sample count and its estimate is the same for
+any number of threads.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -628,20 +629,16 @@ def p_limit_cached(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> VolumeEstimate:
-    """p_limit memoized per process; an exact volume once per dihedral class.
+    """p_limit memoized per process by the word and every argument.
 
-    The exact key adds color consistency and the budget; a Monte Carlo key
-    is the word and every argument, since its seed names the word.  An
-    exact class integrates the first member the process meets: its volume
-    does not depend on that order, but the branches charged to the budget
-    do, so whether a sequence of exact calls raises BudgetExceededError
-    can depend on its order.
+    "exact" replaces the word with its dihedral_key, the least member of
+    its class, so each class is integrated once per budget, through one
+    member whatever the call order; its value, branches charged and
+    BudgetExceededError depend only on the class and the request.
     """
-    _check_request(method, samples)
     if method == "exact":
-        key = (dihedral_key(w), w.is_color_consistent(), method, budget)
-    else:
-        key = (w.letters, w.colors, w.indices, method, samples, seed, budget)
+        w = dihedral_key(w)
+    key = (w, method, samples, seed, budget)
     if key not in _P_CACHE:
         _P_CACHE[key] = p_limit(w, method, samples=samples, seed=seed, budget=budget)
     return _P_CACHE[key]
@@ -674,8 +671,9 @@ def alpha_estimate(
     """(value, stderr) of the limiting expected normalized trace moment.
 
     The sum of its pair-matched words' volumes through p_limit_cached: "mc"
-    estimates every word; "exact" integrates one word per dihedral class per
-    process, each under its own budget, and returns a Fraction, stderr 0.
+    estimates every word; "exact" integrates each dihedral class's least
+    member once per process, under its own budget, and returns a Fraction,
+    stderr 0.
     """
     zero = _check_request(method, samples)
     words = pair_matched_words(q, budget)

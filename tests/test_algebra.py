@@ -165,11 +165,11 @@ def _reversed(w: ColoredWord) -> ColoredWord:
 def test_dihedral_key_examples():
     key = dihedral_key(word_from_text("aabb", parse_monomial("TTHH")))
     # letters first: aabb beats abba, and HHTT (a rotation by two) beats TTHH
-    assert key == ((0, 0, 1, 1), "HHTT")
+    assert key == word_from_text("aabb", parse_monomial("HHTT"))
     assert dihedral_key(word_from_text("abba", parse_monomial("THHT"))) == key
-    # copy indices are dropped
+    # copy indices move with their letters and break ties: aabb on W1W2W2W1 beats W2W1W1W2
     w = word_from_text("abba", parse_monomial("W1W1W2W2"))
-    assert dihedral_key(w) == dihedral_key(drop_indices(w))
+    assert dihedral_key(w) == word_from_text("aabb", parse_monomial("W1W2W2W1"))
 
 
 @given(

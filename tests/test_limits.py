@@ -21,7 +21,6 @@ from oracles import (
 )
 from patrm import limits
 from patrm.algebra import (
-    ColoredWord,
     Monomial,
     count_pairings,
     dihedral_key,
@@ -416,15 +415,9 @@ def test_exact_moments_as_fractions(mono, expected):
     assert sum((exact_volume(w) for w in words), Fraction(0)) == expected
 
 
-def _key_word(key) -> ColoredWord:
-    # the least image that a dihedral key names, with uniform copy indices
-    letters, colors = key
-    return ColoredWord(letters, tuple(LinkKind.from_char(c) for c in colors), (1,) * len(letters))
-
-
 def test_exact_volume_is_constant_on_dihedral_classes():
     # rotating or reversing a word leaves its exact volume unchanged, so
-    # every word's volume is that of the representative its key names
+    # every word's volume is that of its dihedral_key, the class's least member
     words = [word(text, colors) for length in (2, 4, 6) for text, colors in _color_consistent_words(length)]
     for mono in ("TTTTTTTT", "HHHHHHHH", "RRRRRRRR", "THTHTHTH", "SSSSSSSS", "WWWWWWWW"):
         words += enumerate_pair_matched_words(parse_monomial(mono))
@@ -451,9 +444,8 @@ def test_exact_volume_is_constant_on_dihedral_classes():
     keys = set()
     for w in words:
         key = dihedral_key(w)
-        rep = _key_word(key)
-        assert dihedral_key(rep) == key
-        assert volume(w) == volume(rep), (w.text, w.color_text)
+        assert dihedral_key(key) == key
+        assert volume(w) == volume(key), (w.text, w.color_text)
         keys.add(key)
     assert (len(words), len(keys)) == (2279 + 6264 + 210, 941 + 34)
 
@@ -463,7 +455,9 @@ def test_exact_alpha_integrates_one_word_per_dihedral_class(monkeypatch, length,
     integrated = []
 
     def unit_volume(w, method, **kwargs):
-        integrated.append(dihedral_key(w))
+        # the cache integrates each class through the member that names it
+        assert dihedral_key(w) == w
+        integrated.append(w)
         return VolumeEstimate(Fraction(1), 0.0)
 
     # a private cache, so the stub's volumes never reach the process's one
@@ -803,12 +797,26 @@ def test_cached_volume_distinguishes_copy_indices():
     split = word_from_text("abba", parse_monomial("W1W1W2W2"))
     assert p_limit_cached(uniform, "mc", samples=100, seed=0).value == 1.0
     assert p_limit_cached(split, "mc", samples=100, seed=0).value == 0.0
-    # the exact key drops copy indices but keeps color consistency
+    # the exact key is the word's dihedral_key, which keeps its copy indices
     assert p_limit_cached(uniform, "exact").value == 1
     assert p_limit_cached(split, "exact").value == 0
     # a cached class still checks the request
     with pytest.raises(ValueError):
         p_limit_cached(uniform, "exact", samples=0)
+
+
+def test_exact_class_cache_is_order_free(monkeypatch):
+    # two members of one T^8 class: ababcdcd, the least, takes 40 branches and
+    # abacdcdb 129, so the cache integrates the least whichever comes first
+    q = parse_monomial("TTTTTTTT")
+    pair = [word_from_text(text, q) for text in ("ababcdcd", "abacdcdb")]
+    for order in (pair, pair[::-1]):
+        monkeypatch.setattr(limits, "_P_CACHE", {})
+        for w in order:
+            with pytest.raises(BudgetExceededError):
+                p_limit_cached(w, "exact", budget=39)
+            for budget in (40, 128, 129):
+                assert p_limit_cached(w, "exact", budget=budget) == (Fraction(9, 20), 0.0)
 
 
 def test_negative_master_seed_accepted():
