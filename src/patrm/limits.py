@@ -32,7 +32,6 @@ case, is decided symbolically, never by tolerance.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
@@ -41,8 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-# no module-level numpy or sampler import: the Monte Carlo kernel and the circuit
-# counter import them in their bodies, so the exact route needs the standard library alone
+# no module-level numpy, sampler or hashlib import: the Monte Carlo kernel, its word
+# seed and the circuit counter import them in their bodies, so the exact route needs
+# the standard library alone and does not load OpenSSL
 from .algebra import (
     ColoredWord,
     Monomial,
@@ -539,6 +539,8 @@ def _check_request(method: str, samples: int) -> float | Fraction:
 
 
 def _word_seed(master: int, w: ColoredWord) -> int:
+    import hashlib
+
     # the tag names the word, so its volume does not depend on which
     # monomial or enumeration order reached it
     tag = f"{master}|{w.letters}|{w.color_text}|{w.indices}".encode()

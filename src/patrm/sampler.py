@@ -10,7 +10,6 @@ reproducible independently of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,6 +54,7 @@ def sample_matrix(
     n: int,
     dist: InputDistribution,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unscaled n x n member: one input value per distinct link value.
 
@@ -63,13 +63,18 @@ def sample_matrix(
     fill builds the grid.  W lays its n(n+1)/2 draws row by row over the
     upper triangle, the grid's slot order, and mirrors each row into its
     column.  T, H, R and S are constant along (anti-)diagonals, so each is
-    the window view ``u[i + j]`` of one short vector u, copied.
+    the window view ``u[i + j]`` of one short vector u, copied.  Given an
+    n x n float64 ``out``, the same draws overwrite every cell of it and
+    it is returned; otherwise a new array is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if out is None:
+        out = np.empty((n, n))
+    elif out.shape != (n, n) or out.dtype != np.float64:
+        raise ValueError(f"out must be an {n} x {n} float64 array")
     if kind is LinkKind.WIGNER:
         draws = dist.draw(rng, n * (n + 1) // 2)
-        out = np.empty((n, n))
         start = 0
         for r in range(n):
             row = draws[start : start + n - r]
@@ -78,18 +83,21 @@ def sample_matrix(
             start += n - r
         return out
     if kind is LinkKind.HANKEL:
-        return sliding_window_view(dist.draw(rng, 2 * n - 1), n).copy()
-    if kind is LinkKind.REVERSE_CIRCULANT:
+        window = sliding_window_view(dist.draw(rng, 2 * n - 1), n)
+    elif kind is LinkKind.REVERSE_CIRCULANT:
         v = dist.draw(rng, n)
-        return sliding_window_view(np.concatenate((v, v[:-1])), n).copy()
-    if kind is LinkKind.TOEPLITZ:
-        v = dist.draw(rng, n)
+        window = sliding_window_view(np.concatenate((v, v[:-1])), n)
     else:
-        # the circulant distance min(d, n - d) of d = 0..n-1, as a first row
-        d = np.arange(n)
-        v = dist.draw(rng, n // 2 + 1)[np.minimum(d, n - d)]
-    # row i of the reversed view is v[|j - i|] (T) or v[min(|j - i|, n - |j - i|)] (S)
-    return sliding_window_view(np.concatenate((v[:0:-1], v)), n)[::-1].copy()
+        if kind is LinkKind.TOEPLITZ:
+            v = dist.draw(rng, n)
+        else:
+            # the circulant distance min(d, n - d) of d = 0..n-1, as a first row
+            d = np.arange(n)
+            v = dist.draw(rng, n // 2 + 1)[np.minimum(d, n - d)]
+        # row i of the reversed view is v[|j - i|] (T) or v[min(|j - i|, n - |j - i|)] (S)
+        window = sliding_window_view(np.concatenate((v[:0:-1], v)), n)[::-1]
+    np.copyto(out, window)
+    return out
 
 
 def trace_moment_samples(
@@ -107,6 +115,12 @@ def trace_moment_samples(
     some cyclic rotation are equal letter sequences R = L, and when they
     are mirror images R = L.T; the first such rotation needs the product L
     only.  n above DEFAULT_SIZE_CAP is rejected before any matrix is drawn.
+
+    Each replicate walks the factors left to right and holds only the
+    matrices it still needs: a letter is drawn at its first factor and
+    freed after its last, and a partial product once the next replaces
+    it.  Freed n x n buffers go to a list that every replicate of the call
+    draws and multiplies into, so no replicate allocates anew.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -117,23 +131,40 @@ def trace_moment_samples(
     letters = list(q.letters)
     rotations = (letters[r:] + letters[:r] for r in range(k))
     word = next((w for w in rotations if h and w[h:] in (w[:h], w[h - 1 :: -1])), letters)
+    one_half = h and word[h:] in (word[:h], word[h - 1 :: -1])
+    walk = word[:h] if one_half else word
+    starts = (0,) if one_half else (0, h)
+    last = {x: i for i, x in enumerate(walk)}
+    free: list[np.ndarray] = []  # n x n buffers that no value holds
+
+    def take() -> np.ndarray:
+        return free.pop() if free else np.empty((n, n))
+
     out = np.empty(reps)
     for rep in range(reps):
-        mats: dict[tuple[LinkKind, int], np.ndarray] = {}
-        for kind, index in letters:
-            if (kind, index) not in mats:
-                mats[(kind, index)] = sample_matrix(kind, n, dist, substream(seed, rep, kind, index))
+        mats: dict[tuple[LinkKind, int], np.ndarray] = {}  # drawn letters still to be read
+        halves: list[np.ndarray] = []
+        for i, x in enumerate(walk):
+            if x not in mats:
+                mats[x] = sample_matrix(x[0], n, dist, substream(seed, rep, *x), out=take())
+            m = mats.pop(x) if i == last[x] else mats[x]
+            if i in starts:
+                if i:
+                    halves.append(acc)
+                acc = m
+                continue
+            prev, acc = acc, np.matmul(acc, m, out=take())
+            for a in (prev, m):  # to the list once, when nothing reads it any more
+                if not any(a is b for b in (*mats.values(), *halves, *free)):
+                    free.append(a)
+        halves.append(acc)
         if k == 1:
-            tr = float(np.trace(mats[letters[0]]))
+            tr = float(np.trace(acc))
         else:
-            left = reduce(np.matmul, [mats[x] for x in word[:h]])
-            if word[h:] == word[:h]:
-                right = left
-            elif word[h:] == word[h - 1 :: -1]:
-                right = left.T
-            else:
-                right = reduce(np.matmul, [mats[x] for x in word[h:]])
-            tr = float((left * right.T).sum())
+            left, right = halves if len(halves) == 2 else (acc, acc if word[h:] == word[:h] else acc.T)
+            halves.append(np.multiply(left, right.T, out=take()))
+            tr = float(halves[-1].sum())
+        free += halves
         out[rep] = tr / scale
     return out
 

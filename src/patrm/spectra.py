@@ -104,6 +104,8 @@ def sum_lsd_report(
     Reports the empirical moments beta_k for k <= kmax, the vanishing
     check on odd moments, the even-moment growth diagnostic, and the
     pooled-eigenvalue histogram.  Equal kinds use two independent copies.
+    A replicate's sum is overwritten by the next replicate's A, so at most
+    the sum and one B are held at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -115,9 +117,10 @@ def sum_lsd_report(
     idx_b = 2 if kind_a == kind_b else 1
     pooled = []
     moments = np.zeros((reps, kmax))
+    m = None
     for rep in range(reps):
-        # (A + B)/sqrt(n) in A's buffer; B is freed as soon as it is added
-        m = sample_matrix(kind_a, n, dist, substream(seed, rep, kind_a, 1))
+        # (A + B)/sqrt(n) in A's buffer, which every replicate reuses; B is freed as soon as it is added
+        m = sample_matrix(kind_a, n, dist, substream(seed, rep, kind_a, 1), out=m)
         m += sample_matrix(kind_b, n, dist, substream(seed, rep, kind_b, idx_b))
         m /= np.sqrt(n)
         eigs = eigenvalues_symmetric(m)

@@ -525,14 +525,23 @@ def test_lsd_golden_bytes(capsys, a, b):
     )
 
 
-def test_moments_golden_bytes(capsys):
-    code, out, err = run(capsys, "moments", "--q", "TT", "--n", "64", "--reps", "3", "--seed", "21")
+@pytest.mark.parametrize(
+    "q,payload",
+    [
+        ("TT", '{"q":"TT","n":64,"mean":0.98961546010220358,"sd":0.16118766349636476,"reps":3,'
+         '"dist":"gaussian","alpha_limit":1,'),
+        # two half products: a letter buffer is reused between them
+        ("W1T1W2T1", '{"q":"W1 T1 W2 T1","n":64,"mean":0.0030365248808913556,"sd":0.0031547655480643421,'
+         '"reps":3,"dist":"gaussian","alpha_limit":0,'),
+        ("RRSS", '{"q":"RRSS","n":64,"mean":0.87655597843539945,"sd":0.27485845966790534,"reps":3,'
+         '"dist":"gaussian","alpha_limit":1,'),
+    ],
+    ids=["TT", "W1T1W2T1", "RRSS"],
+)
+def test_moments_golden_bytes(capsys, q, payload):
+    code, out, err = run(capsys, "moments", "--q", q, "--n", "64", "--reps", "3", "--seed", "21")
     assert (code, err) == (EXIT_OK, "")
-    assert out == (
-        '{"q":"TT","n":64,"mean":0.98961546010220358,"sd":0.16118766349636476,"reps":3,'
-        '"dist":"gaussian","alpha_limit":1,"seed":21,"budget":5000000000,'
-        f'"version":"{__version__}","method":"simulation"}}\n'
-    )
+    assert out == payload + f'"seed":21,"budget":5000000000,"version":"{__version__}","method":"simulation"}}\n'
 
 
 def test_tables_mc_golden_bytes(capsys):
@@ -546,27 +555,28 @@ def test_tables_mc_golden_bytes(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,code,loads_numpy",
+    "argv,code,loads",
     [
         (("alpha", "--q", "TTTTTTTT"), EXIT_OK, False),
         (("pcw", "--q", "TTTTHHHH", "--word", "abbacddc", "--method", "exact"), EXIT_OK, False),
         (("tables", "--method", "exact"), EXIT_NUMERIC, False),
         (("words", "--q", "THTH"), EXIT_OK, False),
-        # the Monte Carlo route does load it, so the probe can tell
+        # the Monte Carlo route does load both, so the probe can tell
         (("alpha", "--q", "THTH", "--method", "mc", "--samples", "1000"), EXIT_OK, True),
     ],
     ids=["alpha", "pcw", "tables", "words", "alpha-mc"],
 )
-def test_exact_commands_run_without_numpy(argv, code, loads_numpy):
+def test_exact_commands_run_without_numpy(argv, code, loads):
+    # nor hashlib, which loads OpenSSL: only the Monte Carlo word seed needs it
     # a fresh interpreter, so no earlier import in this process counts
     probe = (
         "import contextlib, io, sys\n"
         "from patrm.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = main({list(argv)!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, 'hashlib' in sys.modules)\n"
     )
     src = str(Path(patrm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.split() == [str(code), str(loads_numpy)]
+    assert proc.stdout.split() == [str(code), str(loads), str(loads)]

@@ -128,6 +128,19 @@ def test_sample_matrix_equals_key_grid_gather(kind, dist):
         assert rng.random() == ref_rng.random(), n
 
 
+@pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.char)
+def test_sample_matrix_fills_out_with_the_same_bytes(kind, dist):
+    for n in (1, 2, 5, 64, 65):
+        buf = np.full((n, n), np.nan)
+        got = sample_matrix(kind, n, dist, np.random.default_rng(n), out=buf)
+        assert got is buf
+        assert buf.tobytes() == sample_matrix(kind, n, dist, np.random.default_rng(n)).tobytes(), n
+    for bad in (np.empty((5, 6)), np.empty((6, 6)), np.empty((5, 5), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            sample_matrix(kind, 5, dist, np.random.default_rng(0), out=bad)
+
+
 def test_wigner_fill_allocates_no_key_grid():
     # the n(n+1)/2 draws and the output: no n x n int64 grid and no gather
     n = 256
@@ -151,6 +164,32 @@ CONTRACTION_PRODUCTS = {
 }
 
 
+# word -> traced peak of one call at n = 256, reps = 3, in n x n float64 arrays: the
+# live letters and products, the contraction's output and a Wigner draw vector
+LIVE_MATRIX_PEAKS = {
+    "T": 1.2,
+    "TT": 2.3,
+    "THT": 3.3,
+    "THTH": 3.3,
+    "S1S2S1S2": 3.3,
+    "RRSS": 3.3,
+    "THHT": 3.3,
+    "HHHH": 2.3,
+    "TTHTH": 4.3,
+    "W1T1W2T1": 4.7,
+    "W1T1W2T2HH": 4.7,
+    "W1W2W3W4T1T2T3T4": 4.7,
+}
+
+
+@pytest.mark.parametrize("text", sorted(LIVE_MATRIX_PEAKS))
+def test_trace_moment_samples_holds_only_live_matrices(text):
+    n = 256
+    q = parse_monomial(text)
+    peak = traced_peak_bytes(lambda: trace_moment_samples(q, n, GAUSS, 3, 1))
+    assert peak <= LIVE_MATRIX_PEAKS[text] * n * n * 8
+
+
 @pytest.mark.parametrize("seed", [4, 29])
 @pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
 @pytest.mark.parametrize("text", sorted(CONTRACTION_PRODUCTS))
@@ -167,9 +206,12 @@ def test_trace_moment_samples_equals_product_chain(text, dist, seed):
 def test_trace_moment_samples_product_count(monkeypatch, text):
     calls = []
 
-    def counting_matmul(a, b):
+    def counting_matmul(a, b, out=None):
         calls.append(1)
-        return a @ b
+        if out is None:
+            return a @ b
+        out[...] = a @ b
+        return out
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
     trace_moment_samples(parse_monomial(text), 8, GAUSS, 2, 0)
