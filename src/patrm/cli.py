@@ -26,7 +26,7 @@ from .algebra import (
     parse_monomial,
     word_from_text,
 )
-from .linkfns import DEFAULT_BINS, InputDistribution, LinkKind
+from .linkfns import InputDistribution, LinkKind
 from .reference_tables import ALL_ROWS
 
 EXIT_OK = 0
@@ -180,10 +180,10 @@ def cmd_alpha(args) -> int:
     })
 
 
-def _charge_draws(args, matrices: int) -> None:
-    """Charge the simulation's reps x matrices x n^2 entries against --budget, before any draw."""
+def _charge_draws(args, factors: int) -> None:
+    """Charge the simulation's reps x factors x n^2 entries against --budget, before any draw."""
     # a negative --n fills nothing; the library rejects it as a usage error
-    entries = args.reps * matrices * max(args.n, 0) ** 2
+    entries = args.reps * factors * max(args.n, 0) ** 2
     if entries > args.budget:
         raise limits.BudgetExceededError(f"simulation fills ~{entries:.2e} matrix entries, budget is {args.budget:.2e}")
 
@@ -192,7 +192,7 @@ def cmd_moments(args) -> int:
     from .sampler import empirical_trace_moment
 
     q = parse_monomial(args.q)
-    _charge_draws(args, len(set(q.letters)))
+    _charge_draws(args, len(q))
     dist = InputDistribution(args.dist)
     est = empirical_trace_moment(q, args.n, dist, args.reps, args.seed)
     alpha_limit: Optional[float] = None
@@ -218,9 +218,7 @@ def cmd_lsd(args) -> int:
     kind_b = LinkKind.from_char(args.b)
     _charge_draws(args, 2)
     dist = InputDistribution(args.dist)
-    report = sum_lsd_report(
-        kind_a, kind_b, args.n, dist, args.reps, kmax=args.kmax, bins=args.bins, seed=args.seed
-    )
+    report = sum_lsd_report(kind_a, kind_b, args.n, dist, args.reps, seed=args.seed)
     hist = report.histogram
     table = _csv_text(
         ["bin_left", "bin_right", "count", "density"],
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "work cap, exit 3 past it. words, alpha, freeness: pair-matched words; tables, pcw, alpha,"
             " freeness: affine cases and exact integration branches per word; freeness: guide pairings"
-            " and each block limit; moments, lsd: reps x m x n^2 matrix entries, m matrices per rep"
+            " and each block limit; moments: reps x k x n^2, k letters of --q; lsd: reps x 2 x n^2"
         ),
     )
     q = _option("--q", required=True, help="monomial text, e.g. THTH or 'W1 T1 W2 T1'")
@@ -314,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second ensemble (W,T,H,R,S)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--out", help="CSV path; JSON sidecar written next to it")
 
     command("freeness", cmd_freeness, "freeness verdict for a Wigner-mixing monomial", q)

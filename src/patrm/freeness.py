@@ -33,12 +33,13 @@ from .sampler import sample_matrix  # noqa: F401
 CyclePermutation = tuple[tuple[int, ...], ...]
 
 
-def sigma_gamma_cycles(sigma: Sequence[tuple[int, int]], m: int) -> CyclePermutation:
-    """Cycles of r -> sigma(gamma(r)), gamma the full cycle (1 2 ... m).
+def sigma_gamma_cycles(sigma: Sequence[tuple[int, int]]) -> CyclePermutation:
+    """Cycles of r -> sigma(gamma(r)), gamma the full cycle (1 2 ... m), m = 2 len(sigma).
 
     sigma acts as the involution swapping each pair.  For non-crossing
     sigma, and only then, the composition has 1 + m/2 cycles.
     """
+    m = 2 * len(sigma)
     inv = {}
     for a, b in sigma:
         inv[a] = b
@@ -107,7 +108,7 @@ def free_moment_prediction(
         if not is_catalan(w):
             continue
         prod = zero + 1
-        for cycle in sigma_gamma_cycles(match_pairs(w), m):
+        for cycle in sigma_gamma_cycles(match_pairs(w)):
             block = sum((blocks[r - 1] for r in cycle), ())
             if block:
                 prod *= limits.alpha(

@@ -72,10 +72,6 @@ class InputDistribution(enum.Enum):
         return rng.uniform(-_SQRT3, _SQRT3, size=size)
 
 
-# histogram bins of a spectral report (spectra.esd), and the CLI's --bins default
-DEFAULT_BINS = 50
-
-
 def lvalue_key_grid(kind: LinkKind, n: int) -> tuple[int, np.ndarray]:
     """(number of distinct storage slots, n x n int64 slot-index matrix).
 

@@ -12,10 +12,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .linkfns import DEFAULT_BINS, InputDistribution, LinkKind
+from .linkfns import InputDistribution, LinkKind
 from .sampler import _check_size, sample_matrix, substream
 
 ESD_PADDING = 0.01
+# the shape of every sum report: histogram bins, and moments beta_1..beta_REPORT_MOMENTS
+DEFAULT_BINS = 50
+REPORT_MOMENTS = 6
 # relative asymmetry, against the largest entry, that an input may carry
 _SYMMETRY_TOL = 1e-10
 
@@ -85,7 +88,7 @@ class SumReport:
     skewness: float
     symmetric: bool  # |skewness| within 0.1
     odd_moment_max: float
-    growth: tuple[float, ...]  # beta_{2k}^{1/2k} for k = 1..kmax//2
+    growth: tuple[float, ...]  # beta_{2k}^{1/2k} for k = 1..REPORT_MOMENTS//2
     growth_nondecreasing: bool
 
 
@@ -95,28 +98,22 @@ def sum_lsd_report(
     n: int,
     dist: InputDistribution,
     reps: int,
-    kmax: int = 6,
-    bins: int = DEFAULT_BINS,
     seed: int = 0,
 ) -> SumReport:
     """Averaged ESD of (A + B)/sqrt(n) over independent replicate pairs.
 
-    Reports the empirical moments beta_k for k <= kmax, the vanishing
-    check on odd moments, the even-moment growth diagnostic, and the
-    pooled-eigenvalue histogram.  Equal kinds use two independent copies.
-    A replicate's sum is overwritten by the next replicate's A, so at most
-    the sum and one B are held at once.
+    Reports the empirical moments beta_k for k <= REPORT_MOMENTS, the
+    vanishing check on odd moments, the even-moment growth diagnostic, and
+    the pooled-eigenvalue histogram in DEFAULT_BINS bins.  Equal kinds use
+    two independent copies.  A replicate's sum is overwritten by the next
+    replicate's A, so at most the sum and one B are held at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     _check_size(n)
     idx_b = 2 if kind_a == kind_b else 1
     pooled = []
-    moments = np.zeros((reps, kmax))
+    moments = np.zeros((reps, REPORT_MOMENTS))
     m = None
     for rep in range(reps):
         # (A + B)/sqrt(n) in A's buffer, which every replicate reuses; B is freed as soon as it is added
@@ -125,13 +122,13 @@ def sum_lsd_report(
         m /= np.sqrt(n)
         eigs = eigenvalues_symmetric(m)
         pooled.append(eigs)
-        moments[rep] = [float((eigs**k).mean()) for k in range(1, kmax + 1)]
+        moments[rep] = [float((eigs**k).mean()) for k in range(1, REPORT_MOMENTS + 1)]
     beta = tuple(float(x) for x in moments.mean(axis=0))
     all_eigs = np.concatenate(pooled)
     centered = all_eigs - all_eigs.mean()
     m2 = float((centered**2).mean())
     skew = float((centered**3).mean() / m2**1.5) if m2 > 0 else 0.0
-    odd = max(abs(beta[k - 1]) for k in range(1, kmax + 1, 2))
-    growth = tuple(beta[2 * k - 1] ** (1.0 / (2 * k)) for k in range(1, kmax // 2 + 1))
+    odd = max(abs(beta[k - 1]) for k in range(1, REPORT_MOMENTS + 1, 2))
+    growth = tuple(beta[k - 1] ** (1.0 / k) for k in range(2, REPORT_MOMENTS + 1, 2))
     nondec = all(growth[i] <= growth[i + 1] + 1e-12 for i in range(len(growth) - 1))
-    return SumReport(esd(all_eigs, bins=bins), beta, skew, abs(skew) <= 0.1, odd, growth, nondec)
+    return SumReport(esd(all_eigs), beta, skew, abs(skew) <= 0.1, odd, growth, nondec)

@@ -222,7 +222,7 @@ def test_c07_sum_proposition():
         cross = alpha(Monomial(((a, 1), (b, 1))), "exact")
         cross += alpha(Monomial(((b, 1), (a, 1))), "exact")
         assert abs(cross) <= 1e-12
-        rep = sum_lsd_report(a, b, 512, GAUSS, reps=20, kmax=6, seed=c7_seed)
+        rep = sum_lsd_report(a, b, 512, GAUSS, reps=20, seed=c7_seed)
         assert abs(rep.beta[0]) <= 0.05, f"beta1 {rep.beta[0]} for {a.char}+{b.char}"
         assert abs(rep.beta[2]) <= 0.05, f"beta3 {rep.beta[2]} for {a.char}+{b.char}"
         assert abs(rep.beta[2]) <= 3 * 0.065, "odd moment out of statistical range"

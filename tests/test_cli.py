@@ -163,9 +163,9 @@ def test_lsd_writes_csv_and_sidecar(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag,value,message",
     [
-        ("--kmax", "0", "kmax must be >= 1"),
-        ("--kmax", "-1", "kmax must be >= 1"),
-        ("--bins", "0", "bins must be >= 1"),
+        ("--kmax", "0", "unrecognized arguments: --kmax 0"),
+        ("--kmax", "-1", "unrecognized arguments: --kmax -1"),
+        ("--bins", "0", "unrecognized arguments: --bins 0"),
         ("--n", "1201", "matrix size 1201 exceeds cap 1200"),
     ],
     ids=["--kmax-0", "--kmax--1", "--bins-0", "--n-1201"],
@@ -175,7 +175,11 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
         raise AssertionError("sampled before checking the arguments")
 
     monkeypatch.setattr(spectra, "sample_matrix", no_sampling)
-    code, out, err = run(capsys, "lsd", "--a", "T", "--b", "H", "--n", "64", flag, value)
+    try:
+        code = main(["lsd", "--a", "T", "--b", "H", "--n", "64", flag, value])
+    except SystemExit as exc:  # the parser rejects an option lsd does not have
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == EXIT_USAGE
     assert out == "" and message in err
 
@@ -318,10 +322,21 @@ def test_budget_exit_three(capsys, argv):
 
 
 def test_moments_limit_over_budget_prints_null(capsys):
-    # 3 x 50^2 entries fit 10000; the 10395 words of S^12 do not
-    code, out, _ = run(capsys, "moments", "--q", "SSSSSSSSSSSS", "--n", "50", "--reps", "3", "--budget", "10000")
+    # 3 x 12 x 50^2 = 90000 entries fit 100000; the 10395 words x 12 letters of S^12 do not
+    code, out, _ = run(capsys, "moments", "--q", "SSSSSSSSSSSS", "--n", "50", "--reps", "3", "--budget", "100000")
     assert code == EXIT_OK
     assert json.loads(out)["alpha_limit"] is None
+
+
+def test_moments_charges_every_factor_of_its_word(capsys, monkeypatch):
+    # one distinct letter, but 64 factors: 3 x 64 x 50^2 = 480000 entries exceed 200000
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before charging the draws")
+
+    monkeypatch.setattr(sampler, "sample_matrix", no_sampling)
+    code, out, err = run(capsys, "moments", "--q", "T" * 64, "--n", "50", "--reps", "3", "--budget", "200000")
+    assert code == EXIT_BUDGET
+    assert out == "" and "4.80e+05 matrix entries" in err
 
 
 def test_case_product_budget_exit_three(capsys):

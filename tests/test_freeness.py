@@ -67,8 +67,8 @@ def test_filter_colored_examples():
 
 
 def test_sigma_gamma_examples():
-    assert sigma_gamma_cycles(((1, 2),), 2) == ((1,), (2,))
-    cycles = sigma_gamma_cycles(((1, 2), (3, 4)), 4)
+    assert sigma_gamma_cycles(((1, 2),)) == ((1,), (2,))
+    cycles = sigma_gamma_cycles(((1, 2), (3, 4)))
     assert sorted(len(c) for c in cycles) == [1, 1, 2]
     assert len(cycles) == 3
 
@@ -79,7 +79,7 @@ def test_cycle_count_law(m):
     noncrossing = set(noncrossing_matchings_bruteforce(m))
     for match in matchings_bruteforce([0] * m):
         sigma = tuple((a + 1, b + 1) for a, b in match)
-        cycles = sigma_gamma_cycles(sigma, m)
+        cycles = sigma_gamma_cycles(sigma)
         assert (len(cycles) == 1 + m // 2) == (sigma in noncrossing)
 
 
