@@ -303,7 +303,7 @@ def test_usage_errors_exit_one(capsys):
             ["pcw", "--q", "TTTT", "--word", "abab", "--method", "exact", "--budget", "10"], id="pcw-exact"
         ),
         pytest.param(["freeness", "--q", "WWTTTT", "--budget", "5"], id="freeness"),
-        # a simulation is charged reps x matrices x n^2 entries before its first draw
+        # charged before the first draw: moments reps x k x n^2 entries (k letters of --q), lsd reps x 2 x n^2
         pytest.param(["moments", "--q", "THTH", "--n", "10", "--reps", "1000000000000"], id="moments-reps"),
         pytest.param(
             ["moments", "--q", "SSSSSSSSSSSS", "--n", "50", "--reps", "3", "--budget", "100"], id="moments"

@@ -144,8 +144,9 @@ def _repeats_a_form(cs):
     return len(set(forms)) < len(forms)
 
 
+# a multiple of every chunk size tested here, so counts near its multiples sit on chunk boundaries
+_C = 1 << 15
 # systems of dims 1-5, among them every short-circuit of the kernel
-_C = _MC_CHUNK
 KERNEL_SYSTEMS = {
     # 2 v1 in [0, 1): volume 1/2
     "dim1": ConstraintSystem((0,), ((1, AffineForm((2,), 0)), (2, AffineForm((1,), 0)))),
@@ -182,6 +183,20 @@ def test_case_volume_mc_equals_single_threaded_reference(monkeypatch, name, samp
         assert case_volume_mc(cs, samples, seed) == want, workers
 
 
+@pytest.mark.parametrize("chunk", [1 << 10, _MC_CHUNK, 1 << 15])
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_case_volume_mc_does_not_depend_on_the_chunk(monkeypatch, name, chunk):
+    cs = KERNEL_SYSTEMS[name]
+    monkeypatch.setattr(limits, "_MC_CHUNK", chunk)
+    # the last count is 7 full chunks and a short one, split 4/4 and 2/3/3 over 2 and 3 workers
+    for samples in (chunk - 1, chunk, chunk + 1, 2 * chunk, 7 * chunk + 5):
+        seed = seed_sequence(22, samples)
+        want = case_volume_mc_reference(cs, samples, seed)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(limits, "_MC_WORKERS", workers)
+            assert case_volume_mc(cs, samples, seed) == want, (samples, workers)
+
+
 def test_case_volume_mc_more_threads_than_cores(monkeypatch):
     # each thread writes only its own slot; a lost or misplaced count would change the estimate
     cs = KERNEL_SYSTEMS["dim5"]
@@ -211,8 +226,11 @@ def test_case_volume_mc_memory_does_not_grow_with_samples(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one chunk of points, one of form values and two masks per worker
-    assert peak <= workers * 2 * 2**20
+    # a worker holds one chunk of points, one of form values and two masks, plus small change
+    row_bytes = 8 * cs.dim + 8 + 2
+    assert peak <= workers * (_MC_CHUNK * row_bytes + 2**14)
+    # and a worker's buffers fit half a MiB, within a core's L2 cache
+    assert _MC_CHUNK * row_bytes <= 2**19
 
 
 def test_surviving_systems_list_each_form_once():
