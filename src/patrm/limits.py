@@ -256,6 +256,8 @@ def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: 
     Draws from a copy of the system's PCG64 stream jumped past the earlier
     chunks' draws (one 64-bit output per float64), so the points are those
     of one rng.random((samples, dim)) call, and reuses one buffer set.
+    A form's test 0 <= y < 1 is floor(y) == 0, which holds for exactly the
+    same y (-0.0 included, NaN excluded); the first form writes the mask.
     """
     import numpy as np
 
@@ -273,14 +275,16 @@ def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: 
             # the system's last chunk, the only one that can be short
             pts, y, mask, ok = pts[:block], y[:block], mask[:block], ok[:block]
         gen.random(out=pts)
-        mask.fill(True)
-        for coeffs, const in vectors:
+        for i, (coeffs, const) in enumerate(vectors):
             np.matmul(pts, coeffs, out=y)
-            y += const
-            np.greater_equal(y, 0.0, out=ok)
-            mask &= ok
-            np.less(y, 1.0, out=ok)
-            mask &= ok
+            if const:
+                y += const
+            np.floor(y, out=y)
+            if i:
+                np.equal(y, 0.0, out=ok)
+                mask &= ok
+            else:
+                np.equal(y, 0.0, out=mask)
         hits += int(np.count_nonzero(mask))
     return hits
 

@@ -5,6 +5,13 @@ use sites, and traces divide by n^(1+k/2) exactly once).  Each matrix
 draws one input value per distinct link value, from an RNG substream
 derived from (master seed, replicate, kind, copy index), so results are
 reproducible independently of evaluation order.
+
+A word whose letters are all R or S is traced in the Fourier basis
+f_m = (w^(jm))_j, w = exp(2 pi i / n), with no n x n array: each letter
+draws the first row that sample_matrix would fill, and h = np.fft.fft of
+it gives its action, S f_m = h_m f_m and R f_m = conj(h_m) f_(-m).  The
+trace sums, over the modes that the word returns to themselves, the
+product of the letters' weights, in O(k n + n log n) a replicate.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .linkfns import ALL_KINDS, InputDistribution, LinkKind
 
 DEFAULT_SIZE_CAP = 1200
 _KIND_CODE = {kind: i for i, kind in enumerate(ALL_KINDS)}
+# the kinds that the discrete Fourier transform diagonalises up to the mode reversal m -> -m
+_FOURIER_KINDS = frozenset({LinkKind.REVERSE_CIRCULANT, LinkKind.SYMMETRIC_CIRCULANT})
 
 
 def _check_size(n: int) -> None:
@@ -47,6 +56,29 @@ def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
 def substream(master_seed: int, replicate: int, kind: LinkKind, index: int) -> np.random.Generator:
     """Deterministic RNG for one (replicate, kind, copy) triple."""
     return np.random.default_rng(seed_sequence(master_seed, replicate, _KIND_CODE[kind], index))
+
+
+def _circulant_row(kind: LinkKind, n: int, dist: InputDistribution, rng: np.random.Generator) -> np.ndarray:
+    """First row of an unscaled R member, x[(i + j) mod n], or S member, c[(j - i) mod n].
+
+    R draws its n values in row order.  S draws n // 2 + 1 values, one per
+    circulant distance min(d, n - d) of d = 0..n-1, so c[d] = c[n - d].
+    """
+    if kind is LinkKind.REVERSE_CIRCULANT:
+        return dist.draw(rng, n)
+    d = np.arange(n)
+    return dist.draw(rng, n // 2 + 1)[np.minimum(d, n - d)]
+
+
+def _circulant_spectrum(kind: LinkKind, n: int, dist: InputDistribution, rng: np.random.Generator) -> np.ndarray:
+    """The DFT of the first row that sample_matrix(kind, ...) would fill from rng.
+
+    With f_m = (w^(jm))_j, w = exp(2 pi i / n), and h = np.fft.fft(row):
+    S maps f_m to h_m f_m, and h is real (c is symmetric), so its real
+    part is returned; R maps f_m to conj(h_m) f_(-m) and f_(-m) to h_m f_m.
+    """
+    spectrum = np.fft.fft(_circulant_row(kind, n, dist, rng))
+    return spectrum.real if kind is LinkKind.SYMMETRIC_CIRCULANT else spectrum
 
 
 def sample_matrix(
@@ -85,19 +117,38 @@ def sample_matrix(
     if kind is LinkKind.HANKEL:
         window = sliding_window_view(dist.draw(rng, 2 * n - 1), n)
     elif kind is LinkKind.REVERSE_CIRCULANT:
-        v = dist.draw(rng, n)
+        v = _circulant_row(kind, n, dist, rng)
         window = sliding_window_view(np.concatenate((v, v[:-1])), n)
     else:
-        if kind is LinkKind.TOEPLITZ:
-            v = dist.draw(rng, n)
-        else:
-            # the circulant distance min(d, n - d) of d = 0..n-1, as a first row
-            d = np.arange(n)
-            v = dist.draw(rng, n // 2 + 1)[np.minimum(d, n - d)]
+        v = dist.draw(rng, n) if kind is LinkKind.TOEPLITZ else _circulant_row(kind, n, dist, rng)
         # row i of the reversed view is v[|j - i|] (T) or v[min(|j - i|, n - |j - i|)] (S)
         window = sliding_window_view(np.concatenate((v[:0:-1], v)), n)[::-1]
     np.copyto(out, window)
     return out
+
+
+def _fourier_trace(letters: list, n: int, dist: InputDistribution, seed: int, rep: int) -> float:
+    """Unscaled trace of one replicate of a word whose letters are all R or S.
+
+    Walks the letters right to left on every mode f_m at once, multiplying
+    the per-mode weights of _circulant_spectrum: S keeps the mode, and R
+    sends it to its negative.  The trace sums the modes that return to
+    themselves: all of them after an even number of R letters, else m = 0
+    and, for even n, m = n/2.
+    """
+    spectra = {x: _circulant_spectrum(x[0], n, dist, substream(seed, rep, *x)) for x in dict.fromkeys(letters)}
+    weight = np.ones(n, dtype=complex)
+    negated = False  # whether the walk now sits at f_(-m)
+    for x in reversed(letters):
+        h = spectra[x]
+        if x[0] is LinkKind.REVERSE_CIRCULANT:
+            weight *= h if negated else h.conj()
+            negated = not negated
+        else:
+            weight *= h
+    if negated:
+        weight = weight[[0, n // 2]] if n % 2 == 0 else weight[:1]
+    return float(weight.sum().real)
 
 
 def trace_moment_samples(
@@ -114,7 +165,9 @@ def trace_moment_samples(
     tr = sum(L * R.T).  Every ensemble is symmetric, so when the halves of
     some cyclic rotation are equal letter sequences R = L, and when they
     are mirror images R = L.T; the first such rotation needs the product L
-    only.  n above DEFAULT_SIZE_CAP is rejected before any matrix is drawn.
+    only.  A word of R and S letters alone takes the Fourier route of
+    _fourier_trace instead.  n above DEFAULT_SIZE_CAP is rejected before
+    any matrix or first row is drawn.
 
     Each replicate walks the factors left to right and holds only the
     matrices it still needs: a letter is drawn at its first factor and
@@ -129,6 +182,8 @@ def trace_moment_samples(
     h = k // 2
     scale = float(n) ** (1 + k / 2)
     letters = list(q.letters)
+    if {kind for kind, _ in letters} <= _FOURIER_KINDS:
+        return np.array([_fourier_trace(letters, n, dist, seed, rep) for rep in range(reps)]) / scale
     rotations = (letters[r:] + letters[:r] for r in range(k))
     word = next((w for w in rotations if h and w[h:] in (w[:h], w[h - 1 :: -1])), letters)
     one_half = h and word[h:] in (word[:h], word[h - 1 :: -1])

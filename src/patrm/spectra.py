@@ -3,6 +3,11 @@
 Eigenvalues come from the LAPACK backend (numpy's eigvalsh).  The test
 suite checks them against an exact determinant oracle and a cyclic
 Jacobi reference implementation kept beside the other oracles.
+
+A sum of two R or S members needs no solve: with d the summed S spectra
+and a the summed R spectra (the DFTs of their first rows), each pair of
+modes m != -m gives the eigenvalues d_m +- |a_m|, and each m = -m (m = 0,
+and m = n/2 for even n) gives d_m + Re a_m.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .linkfns import InputDistribution, LinkKind
-from .sampler import _check_size, sample_matrix, substream
+from .sampler import _FOURIER_KINDS, _check_size, _circulant_spectrum, sample_matrix, substream
 
 ESD_PADDING = 0.01
 # the shape of every sum report: histogram bins, and moments beta_1..beta_REPORT_MOMENTS
@@ -92,6 +97,31 @@ class SumReport:
     growth_nondecreasing: bool
 
 
+def _fourier_sum_eigenvalues(summands, n: int, dist: InputDistribution) -> np.ndarray:
+    """Ascending eigenvalues of the scaled sum of R and S members, (kind, rng) pairs.
+
+    With d the summed S spectra and a the summed R spectra of
+    sampler._circulant_spectrum, the sum maps the pair f_m, f_(-m) by
+    [[d_m, a_m], [conj(a_m), d_m]], so m != -m gives d_m +- |a_m|, and
+    m = -m (m = 0 and, for even n, m = n/2) gives d_m + Re a_m.
+    """
+    d = np.zeros(n)
+    a = np.zeros(n, dtype=complex)
+    for kind, rng in summands:
+        spectrum = _circulant_spectrum(kind, n, dist, rng)
+        if kind is LinkKind.SYMMETRIC_CIRCULANT:
+            d += spectrum
+        else:
+            a += spectrum
+    pairs = np.arange(1, (n + 1) // 2)  # one m of each pair m != -m
+    fixed = [0, n // 2] if n % 2 == 0 else [0]
+    modulus = np.abs(a[pairs])
+    eigs = np.concatenate((d[pairs] - modulus, d[pairs] + modulus, d[fixed] + a[fixed].real))
+    eigs /= np.sqrt(n)
+    eigs.sort()
+    return eigs
+
+
 def sum_lsd_report(
     kind_a: LinkKind,
     kind_b: LinkKind,
@@ -105,22 +135,29 @@ def sum_lsd_report(
     Reports the empirical moments beta_k for k <= REPORT_MOMENTS, the
     vanishing check on odd moments, the even-moment growth diagnostic, and
     the pooled-eigenvalue histogram in DEFAULT_BINS bins.  Equal kinds use
-    two independent copies.  A replicate's sum is overwritten by the next
-    replicate's A, so at most the sum and one B are held at once.
+    two independent copies.  Two kinds of R and S take their eigenvalues
+    in closed form from _fourier_sum_eigenvalues; any other sum is solved
+    densely, and a replicate's sum is overwritten by the next replicate's
+    A, so at most the sum and one B are held at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_size(n)
     idx_b = 2 if kind_a == kind_b else 1
+    fourier = {kind_a, kind_b} <= _FOURIER_KINDS
     pooled = []
     moments = np.zeros((reps, REPORT_MOMENTS))
     m = None
     for rep in range(reps):
-        # (A + B)/sqrt(n) in A's buffer, which every replicate reuses; B is freed as soon as it is added
-        m = sample_matrix(kind_a, n, dist, substream(seed, rep, kind_a, 1), out=m)
-        m += sample_matrix(kind_b, n, dist, substream(seed, rep, kind_b, idx_b))
-        m /= np.sqrt(n)
-        eigs = eigenvalues_symmetric(m)
+        rng_a, rng_b = substream(seed, rep, kind_a, 1), substream(seed, rep, kind_b, idx_b)
+        if fourier:
+            eigs = _fourier_sum_eigenvalues(((kind_a, rng_a), (kind_b, rng_b)), n, dist)
+        else:
+            # (A + B)/sqrt(n) in A's buffer, which every replicate reuses; B is freed as soon as it is added
+            m = sample_matrix(kind_a, n, dist, rng_a, out=m)
+            m += sample_matrix(kind_b, n, dist, rng_b)
+            m /= np.sqrt(n)
+            eigs = eigenvalues_symmetric(m)
         pooled.append(eigs)
         moments[rep] = [float((eigs**k).mean()) for k in range(1, REPORT_MOMENTS + 1)]
     beta = tuple(float(x) for x in moments.mean(axis=0))

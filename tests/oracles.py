@@ -8,8 +8,9 @@ from cyclic Jacobi rotations, affine case systems from one position walk
 per case over the package's relation table, exact word volumes from
 finite differences of the package's exact circuit counts (which the
 brute-force counts check), Monte Carlo case volumes from the earlier
-single-threaded kernel, patterned matrices from a key grid gather and
-trace moments from a left-to-right product chain.  It
+single-threaded kernel, patterned matrices from a key grid gather,
+trace moments from a left-to-right product chain and the spectra of
+sums from dense eigensolves.  It
 also holds the test helpers that enumerate monomials and rotate
 monomials and words, the trace-factorization and trace-moment
 concentration checks of acceptance criteria C9 and C8, and the traced
@@ -447,4 +448,20 @@ def trace_moment_reference(q: Monomial, n: int, dist: InputDistribution, reps: i
                 prod = prod @ m
             tr = float((prod * seq[-1].T).sum())
         out[rep] = tr / float(n) ** (1 + k / 2)
+    return out
+
+
+def sum_eigenvalues_reference(
+    kind_a: LinkKind, kind_b: LinkKind, n: int, dist: InputDistribution, reps: int, seed: int
+) -> list[np.ndarray]:
+    """Per-replicate eigenvalues of (A + B)/sqrt(n) by a dense solve of the key grid gathers.
+
+    A and B are drawn from the substreams that spectra.sum_lsd_report uses.
+    """
+    idx_b = 2 if kind_a == kind_b else 1
+    out = []
+    for rep in range(reps):
+        m = sample_matrix_reference(kind_a, n, dist, substream(seed, rep, kind_a, 1))
+        m = m + sample_matrix_reference(kind_b, n, dist, substream(seed, rep, kind_b, idx_b))
+        out.append(np.linalg.eigvalsh(m / np.sqrt(n)))
     return out

@@ -7,13 +7,18 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patrm
+from oracles import sum_eigenvalues_reference, trace_moment_reference
 from patrm import __version__, limits, sampler, spectra
 from patrm.algebra import enumerate_pair_matched_words, parse_monomial
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from patrm.linkfns import InputDistribution, LinkKind
 from patrm.reference_tables import ALL_ROWS
+
+GAUSS = InputDistribution.GAUSSIAN
 
 
 def run(capsys, *argv):
@@ -188,14 +193,18 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
     "argv,message",
     [
         (["moments", "--q", "TT", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
+        # R and S letters alone take the Fourier route, which draws first rows only
+        (["moments", "--q", "RRSS", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
+        (["lsd", "--a", "R", "--b", "S", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
     ],
-    ids=["moments-n-1201"],
+    ids=["moments-n-1201", "moments-RRSS-n-1201", "lsd-RS-n-1201"],
 )
 def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("sampled or computed a limit before checking the size")
 
     monkeypatch.setattr(sampler, "sample_matrix", no_work)
+    monkeypatch.setattr(sampler, "_circulant_row", no_work)
     monkeypatch.setattr(limits, "alpha_estimate", no_work)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
@@ -337,6 +346,18 @@ def test_moments_charges_every_factor_of_its_word(capsys, monkeypatch):
     code, out, err = run(capsys, "moments", "--q", "T" * 64, "--n", "50", "--reps", "3", "--budget", "200000")
     assert code == EXIT_BUDGET
     assert out == "" and "4.80e+05 matrix entries" in err
+
+
+def test_fourier_word_is_charged_before_any_draw(capsys, monkeypatch):
+    # the Fourier route fills no n x n matrix, but is charged as the dense one: 10 x 4 x 800^2
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before charging the draws")
+
+    monkeypatch.setattr(sampler, "sample_matrix", no_sampling)
+    monkeypatch.setattr(sampler, "_circulant_row", no_sampling)
+    code, out, err = run(capsys, "moments", "--q", "S1S2S1S2", "--n", "800", "--reps", "10", "--budget", "1000000")
+    assert code == EXIT_BUDGET
+    assert out == "" and "2.56e+07 matrix entries" in err
 
 
 def test_case_product_budget_exit_three(capsys):
@@ -540,6 +561,13 @@ def test_lsd_golden_bytes(capsys, a, b):
     )
 
 
+# traced in the Fourier basis; its dense reference agrees within 1e-12 relative
+_RRSS_GOLDEN = (
+    '{"q":"RRSS","n":64,"mean":0.87655597843539945,"sd":0.27485845966790512,"reps":3,'
+    '"dist":"gaussian","alpha_limit":1,'
+)
+
+
 @pytest.mark.parametrize(
     "q,payload",
     [
@@ -548,8 +576,7 @@ def test_lsd_golden_bytes(capsys, a, b):
         # two half products: a letter buffer is reused between them
         ("W1T1W2T1", '{"q":"W1 T1 W2 T1","n":64,"mean":0.0030365248808913556,"sd":0.0031547655480643421,'
          '"reps":3,"dist":"gaussian","alpha_limit":0,'),
-        ("RRSS", '{"q":"RRSS","n":64,"mean":0.87655597843539945,"sd":0.27485845966790534,"reps":3,'
-         '"dist":"gaussian","alpha_limit":1,'),
+        ("RRSS", _RRSS_GOLDEN),
     ],
     ids=["TT", "W1T1W2T1", "RRSS"],
 )
@@ -557,6 +584,29 @@ def test_moments_golden_bytes(capsys, q, payload):
     code, out, err = run(capsys, "moments", "--q", q, "--n", "64", "--reps", "3", "--seed", "21")
     assert (code, err) == (EXIT_OK, "")
     assert out == payload + f'"seed":21,"budget":5000000000,"version":"{__version__}","method":"simulation"}}\n'
+
+
+def test_fourier_goldens_lie_near_the_dense_reference():
+    # the goldens of the two Fourier routes, against dense products and eigensolves
+    moments = json.loads(_RRSS_GOLDEN[:-1] + "}")
+    traces = trace_moment_reference(parse_monomial("RRSS"), 64, GAUSS, 3, 21)
+    assert moments["mean"] == pytest.approx(traces.mean(), rel=1e-12)
+    assert moments["sd"] == pytest.approx(traces.std(ddof=1), rel=1e-12)
+
+    stem = _GOLDEN / "lsd_RS_n64_reps2_seed21"
+    report = json.loads(stem.with_suffix(".err").read_text()[:-1] + "}")
+    rows = list(csv.reader(io.StringIO(stem.with_suffix(".csv").read_text())))[1:]
+    eigs = sum_eigenvalues_reference(LinkKind.REVERSE_CIRCULANT, LinkKind.SYMMETRIC_CIRCULANT, 64, GAUSS, 2, 21)
+    beta = [np.mean([(e**k).mean() for e in eigs]) for k in range(1, 7)]
+    pooled = np.concatenate(eigs)
+    centered = pooled - pooled.mean()
+    skewness = (centered**3).mean() / (centered**2).mean() ** 1.5
+    hist = spectra.esd(pooled)
+    assert report["beta"] == pytest.approx(beta, rel=1e-12)
+    assert report["skewness"] == pytest.approx(skewness, rel=1e-12)
+    assert [int(row[2]) for row in rows] == hist.counts.tolist()
+    for column, ref in ((0, hist.edges[:-1]), (1, hist.edges[1:]), (3, hist.density)):
+        assert [float(row[column]) for row in rows] == pytest.approx(ref.tolist(), rel=1e-12)
 
 
 def test_tables_mc_golden_bytes(capsys):

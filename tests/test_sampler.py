@@ -148,15 +148,16 @@ def test_wigner_fill_allocates_no_key_grid():
     assert peak <= 1.6 * n * n * 8
 
 
-# word -> dense products per replicate: matching halves need one half product
+# word -> dense products per replicate: matching halves need one half product, and
+# words of R and S letters alone are traced in the Fourier basis with none
 CONTRACTION_PRODUCTS = {
     "T": 0,
     "TT": 0,
     "THT": 1,
     "THTH": 1,
     "HHHH": 1,
-    "S1S2S1S2": 1,
-    "RRSS": 1,
+    "S1S2S1S2": 0,
+    "RRSS": 0,
     "THHT": 1,
     "W1T1W2T1": 2,
     "TTHTH": 3,
@@ -165,14 +166,15 @@ CONTRACTION_PRODUCTS = {
 
 
 # word -> traced peak of one call at n = 256, reps = 3, in n x n float64 arrays: the
-# live letters and products, the contraction's output and a Wigner draw vector
+# live letters and products, the contraction's output and a Wigner draw vector; an
+# R/S word holds only length-n vectors, its letters' spectra and the mode weights
 LIVE_MATRIX_PEAKS = {
     "T": 1.2,
     "TT": 2.3,
     "THT": 3.3,
     "THTH": 3.3,
-    "S1S2S1S2": 3.3,
-    "RRSS": 3.3,
+    "S1S2S1S2": 0.04,
+    "RRSS": 0.04,
     "THHT": 3.3,
     "HHHH": 2.3,
     "TTHTH": 4.3,
@@ -200,6 +202,19 @@ def test_trace_moment_samples_equals_product_chain(text, dist, seed):
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
     if len(q) <= 2:
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+@pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
+@pytest.mark.parametrize(
+    "text", ["R", "S", "RR", "RSR", "RRR", "R1R2", "R1R2R3S1", "RRSS", "S1S2S1S2", "R1S1R2S2R1S1"]
+)
+def test_fourier_traces_equal_product_chain(text, dist, n):
+    # odd R counts return only the modes m = -m; copies and a single letter included
+    q = parse_monomial(text)
+    got = trace_moment_samples(q, n, dist, 3, 12)
+    ref = trace_moment_reference(q, n, dist, 3, 12)
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("text", sorted(CONTRACTION_PRODUCTS))

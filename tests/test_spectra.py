@@ -3,10 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import JacobiConvergenceError, determinant_exact, jacobi_eigenvalues, traced_peak_bytes
+from oracles import (
+    JacobiConvergenceError,
+    determinant_exact,
+    jacobi_eigenvalues,
+    sample_matrix_reference,
+    traced_peak_bytes,
+)
 from patrm.linkfns import LinkKind
 from patrm.sampler import DEFAULT_SIZE_CAP, InputDistribution, sample_matrix, substream
-from patrm.spectra import Histogram, eigenvalues_symmetric, esd, sum_lsd_report
+from patrm.spectra import Histogram, _fourier_sum_eigenvalues, eigenvalues_symmetric, esd, sum_lsd_report
 
 GAUSS = InputDistribution.GAUSSIAN
 
@@ -213,3 +219,22 @@ def test_sum_report_equal_kinds_use_two_copies():
     rep = sum_lsd_report(LinkKind.TOEPLITZ, LinkKind.TOEPLITZ, 128, GAUSS, 4, seed=3)
     # two independent copies: beta_2 -> 2, not 4
     assert rep.beta[1] == pytest.approx(2.0, abs=0.35)
+
+
+@pytest.mark.parametrize("dist", list(InputDistribution), ids=lambda d: d.value)
+@pytest.mark.parametrize("a,b", ["RS", "SR", "RR", "SS"])
+def test_fourier_sum_eigenvalues_equal_dense_solves(a, b, dist):
+    kind_a, kind_b = LinkKind.from_char(a), LinkKind.from_char(b)
+    idx_b = 2 if a == b else 1
+    for n in (1, 2, 3, 4, 5, 64, 65):
+        got = _fourier_sum_eigenvalues(
+            ((kind_a, substream(5, n, kind_a, 1)), (kind_b, substream(5, n, kind_b, idx_b))), n, dist
+        )
+        dense = sample_matrix_reference(kind_a, n, dist, substream(5, n, kind_a, 1))
+        dense += sample_matrix_reference(kind_b, n, dist, substream(5, n, kind_b, idx_b))
+        dense /= np.sqrt(n)
+        scale = max(np.abs(dense).max(), 1.0)
+        assert got.shape == (n,) and np.all(np.diff(got) >= 0)
+        assert np.abs(got - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale, n
+        if n <= 5:
+            assert np.abs(got - jacobi_eigenvalues(dense)).max() <= 1e-9 * scale, n
