@@ -1,8 +1,11 @@
 """Command-line front end: words, tables, pcw, alpha, moments, lsd, freeness.
 
-Every report embeds the master seed, work budget, method and package
-version; identical command lines with identical seeds produce
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2
+The JSON reports (words, pcw, alpha, moments, freeness, and the lsd
+sidecar) embed the master seed, work budget and package version, and all
+but words the method; the tables and lsd CSVs carry no metadata.
+Identical command lines with identical seeds produce byte-identical
+output; the dense simulations of moments and lsd only on one BLAS thread
+count.  Exit codes: 0 success, 1 usage error, 2
 numerical/acceptance failure, 3 work budget exceeded.
 """
 

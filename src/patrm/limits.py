@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-# no module-level numpy, sampler or hashlib import: the Monte Carlo kernel, its word
-# seed and the circuit counter import them in their bodies, so the exact route needs
-# the standard library alone and does not load OpenSSL
+# no module-level numpy or sampler import: the Monte Carlo kernel, its seeds and the
+# circuit counter import them in their bodies, so the exact route needs the
+# standard library alone
 from .algebra import (
     ColoredWord,
     Monomial,
@@ -548,15 +548,6 @@ def _check_request(method: str, samples: int) -> float | Fraction:
     return Fraction(0) if method == "exact" else 0.0
 
 
-def _word_seed(master: int, w: ColoredWord) -> int:
-    import hashlib
-
-    # the tag names the word, so its volume does not depend on which
-    # monomial or enumeration order reached it
-    tag = f"{master}|{w.letters}|{w.color_text}|{w.indices}".encode()
-    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
-
-
 def p_limit(
     w: ColoredWord,
     method: str = "mc",
@@ -568,8 +559,10 @@ def p_limit(
     """Limiting normalized circuit count of a pair-matched word.
 
     Zero when no deduplicated constraint system survives.  "mc": sum of
-    Monte-Carlo volumes of the surviving systems, drawn from a stream
-    derived from the seed (mod 2^64) and the word without copy indices.
+    Monte-Carlo volumes of the surviving systems, system idx drawn from
+    sampler.seed_sequence(seed, len(w), *letters, *kind codes, idx): the
+    key names the word without its copy indices, so a volume does not
+    depend on which monomial or enumeration order reached it.
     "exact": sum of the systems' exact volumes (case_volume_exact), with
     the integration branches of all of them charged against one budget,
     returned as that Fraction, stderr 0; a zero is Fraction(0) too.
@@ -601,13 +594,11 @@ def p_limit(
         branches = BranchBudget(budget)
         return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), zero), 0.0)
 
-    from .sampler import seed_mod64, seed_sequence
+    from .sampler import _KIND_CODE, seed_sequence
 
-    word_seed = _word_seed(seed_mod64(seed), drop_indices(w))
-    return _sum_estimates(
-        case_volume_mc(cs, samples, seed_sequence(word_seed, idx))
-        for idx, cs in enumerate(systems)
-    )
+    # the length prefix keeps two words' keys apart, whether the seed takes one 32-bit word or two
+    key = (len(w), *w.letters, *(_KIND_CODE[c] for c in w.colors))
+    return _sum_estimates(case_volume_mc(cs, samples, seed_sequence(seed, *key, idx)) for idx, cs in enumerate(systems))
 
 
 def alpha_bound(q: Monomial) -> float:

@@ -60,24 +60,20 @@ class Histogram:
     density: np.ndarray
 
 
-def esd(
-    values: Union[np.ndarray, Sequence[float]],
-    bins: int = DEFAULT_BINS,
-) -> Histogram:
+def esd(values: Union[np.ndarray, Sequence[float]]) -> Histogram:
     """Empirical spectral distribution of eigenvalues as a density histogram.
 
-    Bins span [min, max], widened on each side by ESD_PADDING times the span.
+    DEFAULT_BINS equal bins span [min, max], widened on each side by
+    ESD_PADDING times the span.
     """
     arr = np.asarray(values, dtype=float)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo
     if span == 0.0:
         lo, hi = lo - 0.5, hi + 0.5
     else:
         lo, hi = lo - ESD_PADDING * span, hi + ESD_PADDING * span
-    counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(arr, bins=DEFAULT_BINS, range=(lo, hi))
     total = int(counts.sum())
     widths = np.diff(edges)
     density = counts / (total * widths)

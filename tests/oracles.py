@@ -9,9 +9,10 @@ per case over the package's relation table, exact word volumes from
 finite differences of the package's exact circuit counts (which the
 brute-force counts check), Monte Carlo case volumes from the earlier
 single-threaded kernel, patterned matrices from a key grid gather,
-trace moments from a left-to-right product chain and the spectra of
-sums from dense eigensolves.  It
-also holds the test helpers that enumerate monomials and rotate
+trace moments from a left-to-right product chain, the spectra of
+sums from dense eigensolves, and word volumes from two identities that
+the exact route does not use: the Wigner cut, and Hankel volumes from
+Toeplitz ones.  It also holds the test helpers that enumerate monomials and rotate
 monomials and words, the trace-factorization and trace-moment
 concentration checks of acceptance criteria C9 and C8, and the traced
 allocation peak of one call.
@@ -35,6 +36,7 @@ from patrm.limits import (
     ConstraintSystem,
     VolumeEstimate,
     count_circuits_exact,
+    p_limit_cached,
 )
 from patrm.linkfns import LinkKind, lvalue_key_grid
 from patrm.sampler import InputDistribution, substream, trace_moment_samples
@@ -280,6 +282,53 @@ def volume_from_odd_counts(w: ColoredWord, budget: int = DEFAULT_BUDGET) -> Frac
     if diffs[0] != diffs[1]:
         raise ArithmeticError(f"circuit counts of {w.text} are not a degree-{k + 1} polynomial in odd n")
     return Fraction(diffs[0], math.factorial(k + 1) * 2 ** (k + 1))
+
+
+def _position_pairs(w: ColoredWord) -> list[tuple[int, int]]:
+    """The (first, second) 0-based positions of each letter of a pair-matched word."""
+    return [(f - 1, s - 1) for f, s in word_pairs(w.text)]
+
+
+def _subword(w: ColoredWord, positions) -> ColoredWord:
+    letters = canonical_letters(tuple(w.letters[p] for p in positions))
+    return ColoredWord(letters, tuple(w.colors[p] for p in positions), tuple(w.indices[p] for p in positions))
+
+
+def wigner_cut_volume(w: ColoredWord) -> Fraction:
+    """A word's exact volume by cutting it at its Wigner pairs.
+
+    Asymptotic freeness word by word: p(w) = 0 if a W pair crosses any
+    other pair; otherwise a W pair (f, s) splits w into its inside
+    w[f+1..s-1] and its outside, the rest of w without the pair, both
+    closed words, and p(w) = p(inside) p(outside), the empty word counting
+    1.  The pieces with no W pair are integrated by p_limit_cached.  A
+    letter pairing two kinds indexes no circuit: 0.
+    """
+    if not w.letters:
+        return Fraction(1)
+    if not w.is_color_consistent():
+        return Fraction(0)
+    pairs = _position_pairs(w)
+    cuts = [(f, s) for f, s in pairs if w.colors[f] is LinkKind.WIGNER]
+    if not cuts:
+        return p_limit_cached(w, "exact").value
+    if any(f < a < s < b or a < f < b < s for f, s in cuts for a, b in pairs):
+        return Fraction(0)
+    f, s = cuts[0]
+    inside = _subword(w, range(f + 1, s))
+    outside = _subword(w, [*range(f), *range(s + 1, len(w))])
+    return wigner_cut_volume(inside) * wigner_cut_volume(outside)
+
+
+def hankel_volume(w: ColoredWord) -> Fraction:
+    """The exact volume of an all-Hankel word from the Toeplitz volume of its letters.
+
+    p_H(w) = p_T(w) when each pair joins an odd and an even position,
+    else 0; p_T comes from p_limit_cached.
+    """
+    if any((f - s) % 2 == 0 for f, s in _position_pairs(w)):
+        return Fraction(0)
+    return p_limit_cached(ColoredWord(w.letters, (LinkKind.TOEPLITZ,) * len(w), w.indices), "exact").value
 
 
 def catalan_number(k: int) -> int:

@@ -13,10 +13,12 @@ import pytest
 import patrm
 from oracles import sum_eigenvalues_reference, trace_moment_reference
 from patrm import __version__, limits, sampler, spectra
-from patrm.algebra import enumerate_pair_matched_words, parse_monomial
+from patrm.algebra import enumerate_pair_matched_words, parse_monomial, word_from_text
 from patrm.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from patrm.freeness import free_moment_prediction
 from patrm.linkfns import InputDistribution, LinkKind
 from patrm.reference_tables import ALL_ROWS
+from test_limits import GOLDEN_ALPHA_ESTIMATES
 
 GAUSS = InputDistribution.GAUSSIAN
 
@@ -100,10 +102,13 @@ def test_tables_low_samples_flags_only_defective_rows(capsys):
     assert flagged == {"HHHSHS, aabcbc", "HHHSHS, abbcac"}
 
 
+# SSSSHH/ababcc at 2000 samples, seed 0, from the word's seed_sequence streams
+_SSSSHH_GOLDEN_ROW = "SSSSHH,ababcc,1,0.99850000000000005,0.0014999999999999458\r\n"
+
+
 def test_tables_mc_golden_row(capsys):
-    # SSSSHH/ababcc as the per-case resolver gave it at 2000 samples, seed 0
     _, out, _ = run(capsys, "tables", "--method", "mc", "--samples", "2000")
-    assert "SSSSHH,ababcc,1,1.0065,0.0064999999999999503\r\n" in out
+    assert _SSSSHH_GOLDEN_ROW in out
 
 
 def test_tables_exact_prints_true_volumes(capsys):
@@ -498,22 +503,25 @@ def test_budget_below_one_exits_one(capsys, command, budget):
 
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-@pytest.mark.parametrize(
-    "argv,payload",
-    [
-        (
-            ["alpha", "--q", "THTHTHTH", "--method", "mc"],
-            '{"q":"THTHTHTH","alpha":2.600921,"stderr":0.0012124982352288188,"bound":1680,"words":9,',
-        ),
-        (
-            ["alpha", "--q", "SSSSSS", "--method", "mc", "--samples", "200000"],
-            '{"q":"SSSSSS","alpha":15.000609999999998,"stderr":0.0054016749720109964,"bound":120,"words":15,',
-        ),
-    ],
-    ids=["THTHTHTH", "SSSSSS"],
+# alpha --method mc --seed 21 at the default 10^6 samples and at 200000
+_ALPHA_MC_GOLDENS = {
+    "THTHTHTH": (
+        ["alpha", "--q", "THTHTHTH", "--method", "mc"],
+        '{"q":"THTHTHTH","alpha":2.601556,"stderr":0.0012125296232645205,"bound":1680,"words":9,',
+    ),
+    "SSSSSS": (
+        ["alpha", "--q", "SSSSSS", "--method", "mc", "--samples", "200000"],
+        '{"q":"SSSSSS","alpha":15.00177,"stderr":0.0053984515621379806,"bound":120,"words":15,',
+    ),
+}
+# the stderr of tables --method mc --samples 20000 --seed 21
+_TABLES_MC_GOLDEN_ERR = (
+    "tables: |err| > 0.02 for (HHHSHS, aabcbc): 0.1686\n"
+    "tables: |err| > 0.02 for (HHHSHS, abbcac): 0.1679\n"
 )
+
+
+@pytest.mark.parametrize("argv,payload", list(_ALPHA_MC_GOLDENS.values()), ids=list(_ALPHA_MC_GOLDENS))
 def test_alpha_mc_golden_bytes(capsys, argv, payload):
     code, out, err = run(capsys, *argv, "--seed", "21")
     assert (code, err) == (EXIT_OK, "")
@@ -613,10 +621,63 @@ def test_tables_mc_golden_bytes(capsys):
     code, out, err = run(capsys, "tables", "--method", "mc", "--samples", "20000", "--seed", "21")
     assert code == EXIT_NUMERIC
     assert out == (_GOLDEN / "tables_mc_samples20000_seed21.csv").read_bytes().decode()
-    assert err == (
-        "tables: |err| > 0.02 for (HHHSHS, aabcbc): 0.1695\n"
-        "tables: |err| > 0.02 for (HHHSHS, abbcac): 0.1707\n"
-    )
+    assert err == _TABLES_MC_GOLDEN_ERR
+
+
+def test_monte_carlo_goldens_lie_near_the_exact_limits(monkeypatch):
+    # every Monte Carlo golden within 6 standard errors of its exact rational,
+    # so that a re-recorded golden cannot hide a wrong estimate; where a
+    # golden prints no stderr, its estimate is recomputed for one
+    def near(estimate: float, stderr: float, exact) -> bool:
+        return abs(estimate - float(exact)) <= 6 * stderr
+
+    for argv, payload in _ALPHA_MC_GOLDENS.values():
+        report = json.loads(payload[:-1] + "}")
+        assert near(report["alpha"], report["stderr"], limits.alpha(parse_monomial(argv[2]), "exact"))
+    for mono, (value, stderr) in GOLDEN_ALPHA_ESTIMATES.items():
+        assert near(value, stderr, limits.alpha(parse_monomial(mono), "exact")), mono
+
+    # the |err| values that stderr prints to 4 decimals, against |2/3 - 1/2|
+    printed = {
+        tuple(line.split("(")[1].split(")")[0].split(", ")): float(line.rsplit(" ", 1)[1])
+        for line in _TABLES_MC_GOLDEN_ERR.splitlines()
+    }
+    table = list(csv.reader(io.StringIO((_GOLDEN / "tables_mc_samples20000_seed21.csv").read_text())))[1:]
+    runs = [(row, 20000, 21) for row in table] + [(next(csv.reader([_SSSSHH_GOLDEN_ROW])), 2000, 0)]
+    for row, samples, seed in runs:
+        w = word_from_text(row[1], parse_monomial(row[0]))
+        est = limits.p_limit(w, "mc", samples=samples, seed=seed)
+        assert est.value == float(row[3]), row
+        assert near(est.value, est.stderr, limits.p_limit(w, "exact").value), row
+        if (row[0], row[1]) in printed:
+            assert abs(printed.pop((row[0], row[1])) - 1 / 6) <= 6 * est.stderr + 5e-5, row
+    assert not printed
+
+    # a sweep prediction sums products of block limits, each at least 0, so
+    # it rises with each; its exact value must lie between the predictions
+    # with every block 6 standard errors below and above its estimate
+    def block_alpha(shift):
+        def shifted(q, method, **kw):
+            est = limits.alpha_estimate(q, method, **kw)
+            return max(0.0, est.value + shift * est.stderr)
+
+        return shifted
+
+    sweep = list(csv.reader(io.StringIO((_GOLDEN / "sweep_WR_WT_len2to6_samples2000_seed21.csv").read_text())))[1:]
+    for mono, value, _ in sweep:
+        q = parse_monomial(mono)
+        est = limits.alpha_estimate(q, "mc", samples=2000, seed=21)
+        assert est.value == float(value), mono
+        assert near(est.value, est.stderr, limits.alpha(q, "exact")), mono
+    for mono, _, prediction in sweep:
+        q = parse_monomial(mono)
+        exact = free_moment_prediction(q, method="exact")
+        with monkeypatch.context() as patch:
+            bounds = []
+            for shift in (-6, 6):
+                patch.setattr(limits, "alpha", block_alpha(shift))
+                bounds.append(free_moment_prediction(q, samples=2000, seed=21))
+        assert bounds[0] <= float(exact) <= bounds[1], (mono, prediction)
 
 
 @pytest.mark.parametrize(
@@ -632,7 +693,8 @@ def test_tables_mc_golden_bytes(capsys):
     ids=["alpha", "pcw", "tables", "words", "alpha-mc"],
 )
 def test_exact_commands_run_without_numpy(argv, code, loads):
-    # nor hashlib, which loads OpenSSL: only the Monte Carlo word seed needs it
+    # nor hashlib, which loads OpenSSL: no patrm module imports it, and only
+    # numpy.random does, so a Monte Carlo run loads both
     # a fresh interpreter, so no earlier import in this process counts
     probe = (
         "import contextlib, io, sys\n"

@@ -285,10 +285,9 @@ def test_concentration_slope():
 def test_sweep_values_golden_bytes():
     # alpha and the free prediction, to 17 significant digits, of every
     # {W,R} and {W,T} monomial of length 2..6 that holds both kinds, as the
-    # freeness sweep computes them.  The file was written before the case
-    # walk dropped prefixes at a failed Wigner identification: the
-    # surviving systems, their order and so each system's MC stream are
-    # unchanged.
+    # freeness sweep computes them.  Each system draws from its word's
+    # seed_sequence stream, numbered by its place among the surviving
+    # systems, so the file pins their order as well as the streams.
     rows = ["monomial,alpha,prediction"]
     for other in (LinkKind.REVERSE_CIRCULANT, T):
         for length in range(2, 7):

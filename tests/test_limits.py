@@ -689,15 +689,15 @@ def test_nonpositive_samples_rejected(call):
         call()
 
 
-# alpha_estimate(q, samples=20000, seed=1) as the per-case resolver gave
-# it; equal tuples mean the case order, the dedup order and the
-# per-system seeds are unchanged
+# alpha_estimate(q, samples=20000, seed=1), each system drawn from its
+# word's seed_sequence stream; equal tuples mean the case order, the
+# dedup order and the per-system seeds are unchanged
 GOLDEN_ALPHA_ESTIMATES = {
-    "SSSSSS": (15.00965, 0.01709202298954106),
-    "RRRRRR": (6.00295, 0.005950350189274577),
+    "SSSSSS": (14.982899999999999, 0.01706530611357441),
+    "RRRRRR": (6.00195, 0.005941935406498458),
     "WRWRWR": (0.0, 0.0),
     "THTHTH": (0.0, 0.0),
-    "THTHHH": (1.3415, 0.00469935969042592),
+    "THTHHH": (1.3386, 0.004704647569159671),
 }
 
 
@@ -706,13 +706,33 @@ def test_alpha_estimate_golden_values(mono):
     assert tuple(alpha_estimate(parse_monomial(mono), samples=20000, seed=1)) == GOLDEN_ALPHA_ESTIMATES[mono]
 
 
-def _color_consistent_words(length):
+def _color_consistent_words(length, kinds_text="WTHRS"):
     # every pair-matched letter string, each letter colored by one kind
     for w in enumerate_pair_matched_words(parse_monomial("T" * length)):
         letters = sorted(set(w.text))
-        for kinds in itertools.product("WTHRS", repeat=len(letters)):
+        for kinds in itertools.product(kinds_text, repeat=len(letters)):
             color = dict(zip(letters, kinds))
             yield w.text, "".join(color[ch] for ch in w.text)
+
+
+def test_wigner_cut_matches_the_exact_volume():
+    # every one-copy {W, X} word of length <= 8 with a W letter, X = T, H, R or S
+    checked = 0
+    for other in "THRS":
+        for text, colors in (pair for length in (2, 4, 6, 8) for pair in _color_consistent_words(length, "W" + other)):
+            if "W" in colors:
+                w = word(text, colors)
+                assert oracles.wigner_cut_volume(w) == p_limit_cached(w, "exact").value, (text, colors)
+                checked += 1
+    assert checked == 4 * (1 + 3 * 3 + 15 * 7 + 105 * 15) == 6760
+
+
+def test_hankel_volumes_follow_toeplitz_volumes():
+    # every dihedral class of H^4, H^6 and H^8
+    classes = {dihedral_key(w) for k in (4, 6, 8) for w in enumerate_pair_matched_words(parse_monomial("H" * k))}
+    assert len(classes) == 2 + 5 + 17
+    for w in classes:
+        assert oracles.hankel_volume(w) == p_limit_cached(w, "exact").value, w.text
 
 
 REFERENCE_WORDS = [

@@ -43,7 +43,7 @@ def test_benchmark_hooks_resolve():
 
 # the settable parameters of the public API; a change that must raise the
 # count edits this number and says why
-SETTABLE_PARAMETERS = 149
+SETTABLE_PARAMETERS = 147
 
 
 def _parameter_count(obj) -> int:

@@ -9,6 +9,7 @@ from patrm.sampler import (
     InputDistribution,
     empirical_trace_moment,
     sample_matrix,
+    seed_sequence,
     substream,
     trace_moment_samples,
 )
@@ -46,6 +47,14 @@ def test_determinism_bit_for_bit():
     assert a == b
     c = empirical_trace_moment(parse_monomial("THTH"), 60, GAUSS, 5, seed=43)
     assert a.mean != c.mean
+
+
+def test_seed_sequence_is_the_plain_list_entropy():
+    # one 32-bit word per key entry, after the seed mod 2^64 in one or two words
+    for seed in (0, 21, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**40)):
+        for key in [(), (0,), (3, 1, 2), (8, 0, 1, 2, 3, 0, 3, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2, 5)]:
+            want = np.random.SeedSequence([seed % 2**64, *key]).generate_state(4)
+            assert seed_sequence(seed, *key).generate_state(4).tolist() == want.tolist(), (seed, key)
 
 
 def test_input_distributions_are_standardized():

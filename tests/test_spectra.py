@@ -167,19 +167,25 @@ def test_moment_esd_agreement():
 
 
 def test_esd_examples():
-    # bins widen by 1 % of the span on each side: [-1.02, 0) and [0, 1.02)
-    h = esd(np.array([-1.0, -1.0, 1.0, 1.0]), bins=2)
+    # the 50 bins widen by 1 % of the span on each side: [-1.02, 1.02) in steps of 0.0408
+    h = esd(np.array([-1.0, -1.0, 1.0, 1.0]))
     widths = np.diff(h.edges)
-    assert np.allclose(h.edges, [-1.02, 0.0, 1.02])
-    assert np.allclose(h.density, [0.5 / 1.02, 0.5 / 1.02])
+    assert np.allclose(h.edges, np.linspace(-1.02, 1.02, 51))
+    assert h.counts.tolist() == [2] + [0] * 48 + [2]
+    assert np.allclose(h.density, h.counts / (4 * 0.0408))
     assert (h.density * widths).sum() == pytest.approx(1.0, abs=1e-12)
     assert h.counts.sum() == 4
 
 
 def test_esd_density_normalization_random():
     rng = np.random.default_rng(0)
-    h = esd(rng.standard_normal(257), bins=31)
+    values = rng.standard_normal(257)
+    h = esd(values)
+    span = values.max() - values.min()
+    assert len(h.counts) == 50
+    assert h.edges[[0, -1]] == pytest.approx([values.min() - 0.01 * span, values.max() + 0.01 * span], abs=1e-12)
     assert (h.density * np.diff(h.edges)).sum() == pytest.approx(1.0, abs=1e-12)
+    assert h.counts.sum() == 257
 
 
 def test_wigner_semicircle_support():
