@@ -99,39 +99,31 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration or an exact integration would exceed the work budget."""
 
 
-class AffineForm(NamedTuple):
-    """Integer affine form over the generating coordinates: coeffs . v + const."""
-
-    coeffs: tuple[int, ...]
-    const: int
-
-    def bare_coordinate(self) -> Optional[int]:
-        """Slot index when the form is exactly one coordinate, else None."""
-        if self.const != 0:
-            return None
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
-        if len(nz) == 1 and nz[0][1] == 1:
-            return nz[0][0]
-        return None
-
-    def value_interval(self) -> tuple[int, int]:
-        """Enclosing interval of the form over the half-open unit cube."""
-        lo = self.const + sum(c for c in self.coeffs if c < 0)
-        hi = self.const + sum(c for c in self.coeffs if c > 0)
-        return lo, hi
+# An affine form over the d generating coordinates is one integer row
+# (c_0, ..., c_{d-1}, b), standing for c . v + b; the exact integrator reads
+# the same row as the half-space c . x + b >= 0.
 
 
-def _coordinate(slot: int, dim: int) -> AffineForm:
-    return AffineForm(tuple(int(i == slot) for i in range(dim)), 0)
+def _coordinate(slot: int, dim: int) -> tuple[int, ...]:
+    return tuple(int(i == slot) for i in range(dim + 1))
 
 
-def _combine(weights, forms, shift: int) -> AffineForm:
-    """The form sum(w * f for w, f in zip(weights, forms)) + shift."""
+def _combine(weights, forms, shift: int) -> tuple[int, ...]:
+    """The row sum(w * f for w, f in zip(weights, forms)) + shift."""
     (a, b, c), (x, y, z) = weights, forms
-    return AffineForm(
-        tuple([a * p + b * q + c * r for p, q, r in zip(x.coeffs, y.coeffs, z.coeffs)]),
-        a * x.const + b * y.const + c * z.const + shift,
-    )
+    row = [a * p + b * q + c * r for p, q, r in zip(x, y, z)]
+    row[-1] += shift
+    return tuple(row)
+
+
+def _bare_coordinate(row: tuple[int, ...]) -> Optional[int]:
+    """Slot index when the row is exactly one coordinate, else None."""
+    if row[-1] != 0:
+        return None
+    nz = [(i, c) for i, c in enumerate(row[:-1]) if c != 0]
+    if len(nz) == 1 and nz[0][1] == 1:
+        return nz[0][0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -139,15 +131,16 @@ class ConstraintSystem:
     """One case's affine description of all circuit vertices.
 
     gen_positions lists the generating vertices (position 0 plus first
-    occurrences).  dep_forms gives, for every other position, its affine
-    form over the generating coordinates; the last one is the final
-    vertex, which closes the circuit on vertex 0.  The Wigner
-    identifications hold by construction: resolve_affine keeps no case
-    whose identification fails.
+    occurrences).  dep_forms gives, for every other position, a pair
+    (position, row): the row (c_0, ..., c_{dim-1}, b) of ints is the
+    vertex's affine form c . v + b over the generating coordinates.  The
+    last pair is the final vertex, which closes the circuit on vertex 0.
+    The Wigner identifications hold by construction: resolve_affine
+    keeps no case whose identification fails.
     """
 
     gen_positions: tuple[int, ...]
-    dep_forms: tuple[tuple[int, AffineForm], ...]
+    dep_forms: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def dim(self) -> int:
@@ -155,16 +148,16 @@ class ConstraintSystem:
 
     def identity_ok(self) -> bool:
         """True when the final vertex's form is exactly v0, i.e. the circuit closes identically."""
-        return self.dep_forms[-1][1].bare_coordinate() == 0
+        return _bare_coordinate(self.dep_forms[-1][1]) == 0
 
-    def inequality_forms(self) -> list[AffineForm]:
+    def inequality_forms(self) -> list[tuple[int, ...]]:
         """Dependent forms that need a unit-interval check under sampling.
 
         Bare generating coordinates are already uniform on [0,1) and are
         skipped; the final vertex is pinned to v0 by the closure identity.
         Each distinct form is listed once, in first-occurrence order.
         """
-        return list(dict.fromkeys(f for _, f in self.dep_forms[:-1] if f.bare_coordinate() is None))
+        return list(dict.fromkeys(f for _, f in self.dep_forms[:-1] if _bare_coordinate(f) is None))
 
     def canonical_key(self):
         return (self.gen_positions, self.dep_forms)
@@ -214,8 +207,9 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     coincide, so v_{s-1} = v_{f-1} + v_f - v_s.  Both sides of that
     equality are final once formed, so a prefix whose two sides differ
     is dropped there, with every case below it.  Closure is left to
-    identity_ok, and no prefix is dropped by value_interval, so the
-    zero-volume systems keep their place in p_limit's seed numbering.
+    identity_ok, and no prefix is dropped for a form whose range misses
+    [0, 1), so the zero-volume systems keep their place in p_limit's
+    seed numbering.
     """
     pairs = match_pairs(w)
     relations = _match_relations(w)
@@ -307,13 +301,15 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     forms = cs.inequality_forms()
     if not forms:
         return VolumeEstimate(1.0, 0.0)
-    for form in forms:
-        lo, hi = form.value_interval()
+    for row in forms:
+        # the form's range over the half-open unit cube misses [0, 1)
+        lo = row[-1] + sum(c for c in row[:-1] if c < 0)
+        hi = row[-1] + sum(c for c in row[:-1] if c > 0)
         if hi <= 0 or lo >= 1:
             return VolumeEstimate(0.0, 0.0)
     import numpy as np
 
-    vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
+    vectors = [(np.array(row[:-1], dtype=float), float(row[-1])) for row in forms]
     state = np.random.default_rng(seed).bit_generator.state
     chunks = -(-samples // _MC_CHUNK)
     workers = min(_MC_WORKERS, chunks)
@@ -354,8 +350,7 @@ class BranchBudget:
             )
 
 
-# A row (a_0, ..., a_{d-1}, b) of an integrated system stands for a . x + b >= 0;
-# a polynomial is a dict from exponent tuples over all d coordinates to coefficients.
+# A polynomial is a dict from exponent tuples over all d coordinates to coefficients.
 
 
 def _reduced(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -425,8 +420,8 @@ def case_volume_exact(cs: ConstraintSystem, budget: BranchBudget) -> Fraction:
     d = cs.dim
     rows = set()
     for f in cs.inequality_forms():
-        rows.add(_reduced((*f.coeffs, f.const)))
-        rows.add(_reduced((*(-c for c in f.coeffs), 1 - f.const)))
+        rows.add(_reduced(f))
+        rows.add(_reduced((*(-c for c in f[:d]), 1 - f[d])))
     memo: dict = {}
 
     def integrate(rows, live: tuple[int, ...], poly: dict) -> Fraction:

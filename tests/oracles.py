@@ -11,11 +11,11 @@ brute-force counts check), Monte Carlo case volumes from the earlier
 single-threaded kernel, patterned matrices from a key grid gather,
 trace moments from a left-to-right product chain, the spectra of
 sums from dense eigensolves, and word volumes from two identities that
-the exact route does not use: the Wigner cut, and Hankel volumes from
-Toeplitz ones.  It also holds the test helpers that enumerate monomials and rotate
-monomials and words, the trace-factorization and trace-moment
-concentration checks of acceptance criteria C9 and C8, and the traced
-allocation peak of one call.
+the exact route does not use: the Wigner cut, and the volumes of words
+with H or R letters from their reflections.  It also holds the test
+helpers that enumerate monomials and rotate monomials and words, the
+trace-factorization and trace-moment concentration checks of acceptance
+criteria C9 and C8, and the traced allocation peak of one call.
 """
 
 from __future__ import annotations
@@ -320,15 +320,31 @@ def wigner_cut_volume(w: ColoredWord) -> Fraction:
     return wigner_cut_volume(inside) * wigner_cut_volume(outside)
 
 
-def hankel_volume(w: ColoredWord) -> Fraction:
-    """The exact volume of an all-Hankel word from the Toeplitz volume of its letters.
+# the reversal kinds, each read as the difference kind it becomes under reflection
+_REFLECTED = {LinkKind.HANKEL: LinkKind.TOEPLITZ, LinkKind.REVERSE_CIRCULANT: LinkKind.SYMMETRIC_CIRCULANT}
 
-    p_H(w) = p_T(w) when each pair joins an odd and an even position,
-    else 0; p_T comes from p_limit_cached.
+
+def reflection_volume(w: ColoredWord) -> Fraction:
+    """A word's exact volume from the volume of its reflection, which has no H or R letter.
+
+    H and R are the reversal kinds; each position has the parity of the
+    number of H or R letters before it.  p(w) = 0 when an H or R pair
+    joins two positions of equal parity; otherwise p(w) = p(w'), where w'
+    reads every H as T and every R as S and keeps the letters, copies and
+    W letters, and p(w') comes from p_limit_cached.  For an all-H word
+    this is p_H(w) = p_T(w) when each pair joins an odd and an even
+    position.  A letter pairing two kinds indexes no circuit: 0.
     """
-    if any((f - s) % 2 == 0 for f, s in _position_pairs(w)):
+    if not w.is_color_consistent():
         return Fraction(0)
-    return p_limit_cached(ColoredWord(w.letters, (LinkKind.TOEPLITZ,) * len(w), w.indices), "exact").value
+    parity, odd = [], False
+    for kind in w.colors:
+        parity.append(odd)
+        odd ^= kind in _REFLECTED
+    if any(w.colors[f] in _REFLECTED and parity[f] == parity[s] for f, s in _position_pairs(w)):
+        return Fraction(0)
+    colors = tuple(_REFLECTED.get(kind, kind) for kind in w.colors)
+    return p_limit_cached(ColoredWord(w.letters, colors, w.indices), "exact").value
 
 
 def catalan_number(k: int) -> int:
@@ -447,11 +463,13 @@ def case_volume_mc_reference(cs: ConstraintSystem, samples: int, seed) -> Volume
     forms = cs.inequality_forms()
     if not forms:
         return VolumeEstimate(1.0, 0.0)
-    for form in forms:
-        lo, hi = form.value_interval()
+    for *coeffs, const in forms:
+        # the form's range over the half-open unit cube
+        lo = const + sum(c for c in coeffs if c < 0)
+        hi = const + sum(c for c in coeffs if c > 0)
         if hi <= 0 or lo >= 1:
             return VolumeEstimate(0.0, 0.0)
-    vectors = [(np.array(f.coeffs, dtype=float), float(f.const)) for f in forms]
+    vectors = [(np.array(coeffs, dtype=float), float(const)) for *coeffs, const in forms]
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples

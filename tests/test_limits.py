@@ -33,11 +33,11 @@ from patrm.algebra import (
 from patrm.limits import (
     _MC_CHUNK,
     DEFAULT_BUDGET,
-    AffineForm,
     BranchBudget,
     BudgetExceededError,
     ConstraintSystem,
     VolumeEstimate,
+    _bare_coordinate,
     alpha,
     alpha_bound,
     alpha_estimate,
@@ -88,7 +88,7 @@ def test_resolve_structure_invariants():
         slots = {pos: i for i, pos in enumerate(cs.gen_positions)}
         for pos, form in cs.dep_forms:
             # dependent forms reference only strictly earlier generating coords
-            for slot_idx, coeff in enumerate(form.coeffs):
+            for slot_idx, coeff in enumerate(form[:-1]):
                 if coeff != 0:
                     assert cs.gen_positions[slot_idx] < pos
 
@@ -140,7 +140,7 @@ def _survivors(word_text, mono):
 
 
 def _repeats_a_form(cs):
-    forms = [f for _, f in cs.dep_forms[:-1] if f.bare_coordinate() is None]
+    forms = [f for _, f in cs.dep_forms[:-1] if _bare_coordinate(f) is None]
     return len(set(forms)) < len(forms)
 
 
@@ -149,11 +149,11 @@ _C = 1 << 15
 # systems of dims 1-5, among them every short-circuit of the kernel
 KERNEL_SYSTEMS = {
     # 2 v1 in [0, 1): volume 1/2
-    "dim1": ConstraintSystem((0,), ((1, AffineForm((2,), 0)), (2, AffineForm((1,), 0)))),
+    "dim1": ConstraintSystem((0,), ((1, (2, 0)), (2, (1, 0)))),
     "no-form": resolve_affine(word("aa", "TT"))[1],
     "dead": resolve_affine(word("aa", "TT"))[0],
     # v0 + v1 + 2 lies in [2, 4): provably outside [0, 1)
-    "empty-box": ConstraintSystem((0, 1), ((2, AffineForm((1, 1), 2)), (3, AffineForm((1, 0), 0)))),
+    "empty-box": ConstraintSystem((0, 1), ((2, (1, 1, 2)), (3, (1, 0, 0)))),
     "dim3": _survivors("abab", "THTH")[0],
     "dim4-repeated-form": next(cs for cs in _survivors("abaccb", "TTTTTT") if _repeats_a_form(cs)),
     "dim5-repeated-form": next(cs for cs in _survivors("aabcbddc", "TTTTTTTT") if _repeats_a_form(cs)),
@@ -244,7 +244,7 @@ def test_surviving_systems_list_each_form_once():
                     survivors += 1
                     forms = cs.inequality_forms()
                     assert len(set(forms)) == len(forms), (w.text, kind)
-                    assert set(forms) == {f for _, f in cs.dep_forms[:-1] if f.bare_coordinate() is None}
+                    assert set(forms) == {f for _, f in cs.dep_forms[:-1] if _bare_coordinate(f) is None}
     assert survivors == 2794
 
 
@@ -639,8 +639,8 @@ def test_integration_branches_are_charged_per_word():
 def test_alpha_examples():
     assert alpha(parse_monomial("THTH"), samples=400000, seed=1) == pytest.approx(2 / 3, abs=0.005)
     assert alpha(parse_monomial("TTT")) == 0.0
-    assert alpha(parse_monomial("T1T1T2T2"), "exact") == pytest.approx(1.0, abs=0.02)
-    assert alpha(parse_monomial("T1T2T1T2"), "exact") == pytest.approx(2 / 3, abs=0.02)
+    assert alpha(parse_monomial("T1T1T2T2"), "exact") == 1
+    assert alpha(parse_monomial("T1T2T1T2"), "exact") == Fraction(2, 3)
     assert alpha(parse_monomial("WWWW")) == pytest.approx(2.0)
     # the crossing Wigner word vanishes exactly in the volume picture
     assert p_limit(word("abab", "WWWW"), "mc", samples=100).value == 0.0
@@ -732,7 +732,38 @@ def test_hankel_volumes_follow_toeplitz_volumes():
     classes = {dihedral_key(w) for k in (4, 6, 8) for w in enumerate_pair_matched_words(parse_monomial("H" * k))}
     assert len(classes) == 2 + 5 + 17
     for w in classes:
-        assert oracles.hankel_volume(w) == p_limit_cached(w, "exact").value, w.text
+        assert oracles.reflection_volume(w) == p_limit_cached(w, "exact").value, w.text
+
+
+@pytest.mark.parametrize(
+    "alphabet,max_length,classes",
+    [
+        ("TH", 8, 207),
+        ("WTH", 8, 845),
+        ("THSR", 6, 184),
+        ("WSR", 6, 89),
+        ("T1T2H1H2", 6, 184),
+        ("R1R2S1S2", 6, 184),
+        ("W1W2H1T1", 6, 184),
+    ],
+)
+def test_reflection_volumes_equal_exact_volumes(alphabet, max_length, classes):
+    # every dihedral class of every monomial of even length <= max_length over the alphabet's letters
+    letters = list(dict.fromkeys(parse_monomial(alphabet).letters))
+    words = {
+        dihedral_key(w)
+        for length in range(2, max_length + 1, 2)
+        for q in itertools.product(letters, repeat=length)
+        for w in enumerate_pair_matched_words(Monomial(q))
+    }
+    assert len(words) == classes
+    for w in words:
+        assert oracles.reflection_volume(w) == p_limit_cached(w, "exact").value, (w.text, w.color_text)
+
+
+def test_reflection_volumes_equal_reference_rows():
+    for row in ALL_ROWS:
+        assert oracles.reflection_volume(word(row.word, row.monomial)) == row.p_true, (row.monomial, row.word)
 
 
 REFERENCE_WORDS = [
@@ -756,8 +787,10 @@ def test_resolve_affine_equals_reference_walk():
         for case in build_cases(w):
             ref = resolve_case_reference(word_text, colors, case)
             if all(a == b for a, b in ref[2]):
-                want.append(ref[:2])
-                closure_failures += AffineForm(*ref[1][-1][1]).bare_coordinate() != 0
+                # the reference's (coeffs, const) pairs as rows (c_0, ..., c_{d-1}, b)
+                dep = tuple((pos, (*coeffs, const)) for pos, (coeffs, const) in ref[1])
+                want.append((ref[0], dep))
+                closure_failures += _bare_coordinate(dep[-1][1]) != 0
             else:
                 omitted += 1
         assert got == want, (word_text, colors)
@@ -773,22 +806,18 @@ def test_alpha_estimate_stderr_combines():
 
 
 def test_affine_form_helpers():
-    c1 = AffineForm((0, 1, 0), 0)
-    f = AffineForm((1, 1, -1), 0)
-    assert f.bare_coordinate() is None
-    assert c1.bare_coordinate() == 1
-    assert AffineForm((0, 1, 0), 1).bare_coordinate() is None
-    assert AffineForm((0, -1, 0), 0).bare_coordinate() is None
-    assert f.value_interval() == (-1, 2)
-    assert AffineForm((1, -1, 0), 1).value_interval() == (0, 2)
+    assert _bare_coordinate((1, 1, -1, 0)) is None
+    assert _bare_coordinate((0, 1, 0, 0)) == 1
+    assert _bare_coordinate((0, 1, 0, 1)) is None
+    assert _bare_coordinate((0, -1, 0, 0)) is None
 
 
 def test_resolved_forms_are_integer_rows():
     w = word("abab", "SSSS")
     for cs in resolve_affine(w):
         for _, form in cs.dep_forms:
-            assert len(form.coeffs) == cs.dim
-            assert all(type(c) is int for c in (*form.coeffs, form.const))
+            assert len(form) == cs.dim + 1
+            assert all(type(c) is int for c in form)
 
 
 WORDS6 = (
