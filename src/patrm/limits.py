@@ -18,13 +18,19 @@ coordinate at a time (Fourier-Motzkin) in integer and Fraction
 arithmetic.  Words equal up to rotation and reversal have equal
 volumes, so p_limit_cached integrates each such class through its
 least member (dihedral_key), once per process for every monomial limit
-of the run.  The Monte Carlo kernel draws each case's points in
-fixed-size chunks into reused buffers, split over threads that each
+of the run.  The Monte Carlo route returns 0 for a word in which a
+Wigner pair crosses another pair before it walks the cases: by
+asymptotic freeness such a word has volume 0 (the Wigner cut), and the
+walk keeps no closing case of any such word the tests check; the exact
+route still walks them.  The Monte Carlo kernel draws only the u
+coordinates that some inequality form of a case reads, since every
+other coordinate is free in [0, 1) and integrates to 1.  It draws them
+in fixed-size chunks into reused buffers, split over threads that each
 jump to their own offset of the case's one PCG64 stream, so its memory
 does not grow with the sample count and its estimate is the same for
 any number of threads or any chunk size.  A chunk is 2^13 rows: a
-worker's buffers (points, form values, two masks) take 8 dim + 10 bytes
-a row, 400 KiB at dim 5, within a core's L2 cache.  Larger chunks run
+worker's buffers (points, form values, two masks) take 8 u + 10 bytes
+a row, 400 KiB at u = 5, within a core's L2 cache.  Larger chunks run
 no faster and raise an MC process's peak RSS (2^15 rows: by about 3 MB
 at two threads); at 2^12 rows numpy's per-call overhead starts to show
 in wall time.
@@ -247,9 +253,10 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
 def _count_hits(state: dict, first: int, last: int, samples: int, vectors, dim: int) -> int:
     """Samples of chunks [first, last) that satisfy every inequality form.
 
-    Draws from a copy of the system's PCG64 stream jumped past the earlier
-    chunks' draws (one 64-bit output per float64), so the points are those
-    of one rng.random((samples, dim)) call, and reuses one buffer set.
+    The points have dim coordinates, those the forms read.  Draws from a
+    copy of the system's PCG64 stream jumped past the earlier chunks'
+    draws (one 64-bit output per float64), so the points are those of one
+    rng.random((samples, dim)) call, and reuses one buffer set.
     A form's test 0 <= y < 1 is floor(y) == 0, which holds for exactly the
     same y (-0.0 included, NaN excluded); the first form writes the mask.
     """
@@ -289,10 +296,14 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     A failed closure means the case sits on a proper affine subspace:
     exact zero, no sampling.  A provably empty box check (form's range
     disjoint from [0,1)) also short-circuits to exact zero.
-    Otherwise the samples are drawn in chunks of _MC_CHUNK, split into
-    contiguous ranges over up to _MC_WORKERS threads; each range starts at
-    its own offset of the one stream, so the estimate does not depend on
-    the chunk size or the thread count.
+    Otherwise a sample is a point of the unit cube over the coordinates
+    that some form reads, the forms projected onto them: any other
+    coordinate is free in [0, 1) and integrates to 1.  A system whose
+    forms read every coordinate draws the points of the whole cube.  The
+    samples are drawn in chunks of _MC_CHUNK, split into contiguous ranges
+    over up to _MC_WORKERS threads; each range starts at its own offset of
+    the one stream, so the estimate does not depend on the chunk size or
+    the thread count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -309,7 +320,8 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
             return VolumeEstimate(0.0, 0.0)
     import numpy as np
 
-    vectors = [(np.array(row[:-1], dtype=float), float(row[-1])) for row in forms]
+    read = [i for i in range(cs.dim) if any(row[i] for row in forms)]
+    vectors = [(np.array([row[i] for i in read], dtype=float), float(row[-1])) for row in forms]
     state = np.random.default_rng(seed).bit_generator.state
     chunks = -(-samples // _MC_CHUNK)
     workers = min(_MC_WORKERS, chunks)
@@ -318,7 +330,7 @@ def case_volume_mc(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
     counts = [None] * workers
 
     def work(slot: int) -> None:
-        counts[slot] = _count_hits(state, bounds[slot], bounds[slot + 1], samples, vectors, cs.dim)
+        counts[slot] = _count_hits(state, bounds[slot], bounds[slot + 1], samples, vectors, len(read))
 
     threads = [threading.Thread(target=work, args=(slot,)) for slot in range(1, workers)]
     for t in threads:
@@ -534,6 +546,17 @@ def count_circuits_exact(w: ColoredWord, n: int, *, budget: int = DEFAULT_BUDGET
     return total
 
 
+def _wigner_pair_crosses(w: ColoredWord) -> bool:
+    """True when a Wigner pair (f, s) crosses another pair (a, b): f < a < s < b or a < f < b < s."""
+    pairs = match_pairs(w)
+    return any(
+        f < a < s < b or a < f < b < s
+        for f, s in pairs
+        if w.colors[f - 1] is LinkKind.WIGNER
+        for a, b in pairs
+    )
+
+
 def _check_request(method: str, samples: int) -> float | Fraction:
     """Check a request; return its method's zero, Fraction(0) for "exact", 0.0 for "mc"."""
     if method not in METHODS:
@@ -557,7 +580,9 @@ def p_limit(
     Monte-Carlo volumes of the surviving systems, system idx drawn from
     sampler.seed_sequence(seed, len(w), *letters, *kind codes, idx): the
     key names the word without its copy indices, so a volume does not
-    depend on which monomial or enumeration order reached it.
+    depend on which monomial or enumeration order reached it.  A word in
+    which a Wigner pair crosses another pair is 0 there before its cases
+    are walked (the Wigner cut: the walk would keep no closing case).
     "exact": sum of the systems' exact volumes (case_volume_exact), with
     the integration branches of all of them charged against one budget,
     returned as that Fraction, stderr 0; a zero is Fraction(0) too.
@@ -573,6 +598,8 @@ def p_limit(
     n_cases = case_count(w)
     if n_cases > budget:
         raise BudgetExceededError(f"word has {n_cases} affine cases, budget is {budget:.2e}")
+    if method == "mc" and _wigner_pair_crosses(w):
+        return VolumeEstimate(zero, 0.0)
     systems = []
     seen = set()
     for cs in resolve_affine(w):

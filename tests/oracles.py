@@ -455,7 +455,11 @@ _REFERENCE_CHUNK = 1 << 21
 
 
 def case_volume_mc_reference(cs: ConstraintSystem, samples: int, seed) -> VolumeEstimate:
-    """Single-threaded Monte Carlo case volume: one draw block, one temporary per form."""
+    """Single-threaded Monte Carlo case volume: one draw block, one temporary per form.
+
+    The points cover only the coordinates that some form reads; the others
+    are free in [0, 1) and integrate to 1.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not cs.identity_ok():
@@ -469,13 +473,14 @@ def case_volume_mc_reference(cs: ConstraintSystem, samples: int, seed) -> Volume
         hi = const + sum(c for c in coeffs if c > 0)
         if hi <= 0 or lo >= 1:
             return VolumeEstimate(0.0, 0.0)
-    vectors = [(np.array(coeffs, dtype=float), float(const)) for *coeffs, const in forms]
+    read = [i for i in range(cs.dim) if any(coeffs[i] for *coeffs, _ in forms)]
+    vectors = [(np.array([coeffs[i] for i in read], dtype=float), float(const)) for *coeffs, const in forms]
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
     while remaining > 0:
         block = min(remaining, _REFERENCE_CHUNK)
-        pts = rng.random((block, cs.dim))
+        pts = rng.random((block, len(read)))
         mask = np.ones(block, dtype=bool)
         for coeffs, const in vectors:
             y = pts @ coeffs + const

@@ -214,6 +214,37 @@ def test_case_volume_mc_more_threads_than_cores(monkeypatch):
     assert threading.active_count() == threads
 
 
+# the two systems of KERNEL_SYSTEMS whose forms read 3 of their coordinates,
+# written by hand without the others
+_READ_COORDINATES_ONLY = {
+    "dim4-repeated-form": ConstraintSystem((0, 1, 2), ((3, (1, -1, 1, 0)), (5, (1, -1, 1, 0)), (6, (1, 0, 0, 0)))),
+    "dim5-repeated-form": ConstraintSystem(
+        (0, 3, 4), ((2, (1, 0, 0, 0)), (5, (1, -1, 1, 0)), (7, (1, -1, 1, 0)), (8, (1, 0, 0, 0)))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_COORDINATES_ONLY))
+def test_case_volume_mc_draws_only_the_coordinates_its_forms_read(monkeypatch, name):
+    cs, reduced = KERNEL_SYSTEMS[name], _READ_COORDINATES_ONLY[name]
+    assert reduced.dim == 3 < cs.dim
+    for samples in (_C + 1, 3 * _C + 7):
+        seed = seed_sequence(23, samples)
+        want = case_volume_mc_reference(reduced, samples, seed)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(limits, "_MC_WORKERS", workers)
+            assert case_volume_mc(cs, samples, seed) == case_volume_mc(reduced, samples, seed) == want, workers
+
+
+def test_case_volume_mc_keeps_its_draws_when_every_coordinate_is_read():
+    # dim5's forms read all five coordinates: the estimates recorded before
+    # the kernel drew only the read coordinates
+    cs = KERNEL_SYSTEMS["dim5"]
+    assert tuple(case_volume_mc(cs, 10**6, seed_sequence(21, 10**6))) == (0.366045, 0.00048172197165481255)
+    samples = 3 * _C + 7
+    assert tuple(case_volume_mc(cs, samples, seed_sequence(5, samples))) == (0.3674156503341437, 0.0015375774125079387)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_case_volume_mc_memory_does_not_grow_with_samples(monkeypatch, workers):
     monkeypatch.setattr(limits, "_MC_WORKERS", workers)
@@ -693,11 +724,11 @@ def test_nonpositive_samples_rejected(call):
 # word's seed_sequence stream; equal tuples mean the case order, the
 # dedup order and the per-system seeds are unchanged
 GOLDEN_ALPHA_ESTIMATES = {
-    "SSSSSS": (14.982899999999999, 0.01706530611357441),
+    "SSSSSS": (14.997550000000002, 0.01705703372145931),
     "RRRRRR": (6.00195, 0.005941935406498458),
     "WRWRWR": (0.0, 0.0),
     "THTHTH": (0.0, 0.0),
-    "THTHHH": (1.3386, 0.004704647569159671),
+    "THTHHH": (1.3402500000000002, 0.004701571213434929),
 }
 
 
@@ -725,6 +756,49 @@ def test_wigner_cut_matches_the_exact_volume():
                 assert oracles.wigner_cut_volume(w) == p_limit_cached(w, "exact").value, (text, colors)
                 checked += 1
     assert checked == 4 * (1 + 3 * 3 + 15 * 7 + 105 * 15) == 6760
+
+
+@pytest.mark.parametrize("other", "THRS")
+def test_two_copy_wigner_cut_matches_the_exact_volume(other):
+    # every word with a W letter of the monomials of length <= 6 over W1, W2, X1 and X2
+    letters = list(dict.fromkeys(parse_monomial(f"W1W2{other}1{other}2").letters))
+    words = {
+        w
+        for length in (2, 4, 6)
+        for q in itertools.product(letters, repeat=length)
+        for w in enumerate_pair_matched_words(Monomial(q))
+        if LinkKind.WIGNER in w.colors
+    }
+    assert len(words) == 878
+    for w in words:
+        assert oracles.wigner_cut_volume(w) == p_limit_cached(w, "exact").value, (w.text, w.color_text)
+
+
+def test_crossing_wigner_words_are_zero_before_the_case_walk(monkeypatch):
+    # the one-copy {W, X} words of length <= 8, X = T, H, R or S (an all-W word
+    # once per X), and the words over all five kinds of length <= 6, in which a
+    # W pair crosses another pair
+    one_copy = [pair for other in "THRS" for length in (2, 4, 6, 8) for pair in _color_consistent_words(length, "W" + other)]
+    five_kinds = [pair for length in (2, 4, 6) for pair in _color_consistent_words(length)]
+    sets = [[w for w in (word(*pair) for pair in pairs) if limits._wigner_pair_crosses(w)] for pairs in (one_copy, five_kinds)]
+    assert [len(words) for words in sets] == [5264, 523]
+    walk = limits.resolve_affine
+    walked = []
+
+    def recording_walk(w):
+        walked.append(walk(w))
+        return walked[-1]
+
+    def no_walk(w):
+        raise AssertionError(f"the Monte Carlo route walked {w.text}")
+
+    for w in sets[0] + sets[1]:
+        monkeypatch.setattr(limits, "resolve_affine", recording_walk)
+        assert p_limit(w, "exact") == (Fraction(0), 0.0)
+        # the exact route still walks the word, and the walk keeps no closing case
+        assert not any(cs.identity_ok() for cs in walked.pop()), (w.text, w.color_text)
+        monkeypatch.setattr(limits, "resolve_affine", no_walk)
+        assert p_limit(w, "mc", samples=100) == (0.0, 0.0)
 
 
 def test_hankel_volumes_follow_toeplitz_volumes():
