@@ -31,6 +31,8 @@ _FOURIER_KINDS = frozenset({LinkKind.REVERSE_CIRCULANT, LinkKind.SYMMETRIC_CIRCU
 
 
 def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > DEFAULT_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds cap {DEFAULT_SIZE_CAP}")
 

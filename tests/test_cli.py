@@ -201,8 +201,20 @@ def test_lsd_rejects_bad_kmax_and_bins(capsys, monkeypatch, flag, value, message
         # R and S letters alone take the Fourier route, which draws first rows only
         (["moments", "--q", "RRSS", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
         (["lsd", "--a", "R", "--b", "S", "--n", "1201"], "matrix size 1201 exceeds cap 1200"),
+        (["moments", "--q", "TT", "--n", "0"], "n must be >= 1"),
+        (["moments", "--q", "RRSS", "--n", "0"], "n must be >= 1"),
+        (["moments", "--q", "RRSS", "--n", "-2"], "n must be >= 1"),
+        (["lsd", "--a", "R", "--b", "S", "--n", "0"], "n must be >= 1"),
     ],
-    ids=["moments-n-1201", "moments-RRSS-n-1201", "lsd-RS-n-1201"],
+    ids=[
+        "moments-n-1201",
+        "moments-RRSS-n-1201",
+        "lsd-RS-n-1201",
+        "moments-n-0",
+        "moments-RRSS-n-0",
+        "moments-RRSS-n--2",
+        "lsd-RS-n-0",
+    ],
 )
 def test_simulation_size_checked_before_any_work(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):

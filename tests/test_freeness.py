@@ -190,6 +190,16 @@ def test_freeness_identity_is_exact(other):
         assert a == pred, str(q)
 
 
+@pytest.mark.parametrize("other", "THRS")
+def test_freeness_identity_is_exact_at_length_ten(other):
+    # the same theorem on every one-copy mixed monomial of length 10
+    other = LinkKind.from_char(other)
+    monomials = list(_mixed_monomials(other, (10,), (1,)))
+    assert len(monomials) == 2**10 - 2
+    for q in monomials:
+        assert alpha(q, "exact") == free_moment_prediction(q, method="exact"), str(q)
+
+
 def _wigner_match_with_unmatched_interior(w):
     pairs = match_pairs(w)
     for i, j in pairs:
