@@ -154,7 +154,7 @@ def cmd_pcw(args) -> int:
     w = word_from_text(args.word, q)
     if not w.is_pair_matched():
         raise ValueError(f"word {args.word!r} is not pair-matched")
-    est = limits.p_limit(w, args.method, samples=args.samples, seed=args.seed, budget=args.budget)
+    est = limits.p_limit_cached(w, args.method, samples=args.samples, seed=args.seed, budget=args.budget)
     return _report(args, {
         "monomial": str(q),
         "word": w.text,

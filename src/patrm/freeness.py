@@ -10,10 +10,10 @@ machinery with another kind in that role quantifies *non*-freeness.  The
 partitions are the Catalan pair-matched words of the guide letters, so
 multi-copy guide families only pair equal copy labels.  `freeness_report`
 decides by Fraction equality of the two exact values; it simulates
-nothing.  A tier-1 test checks that the exact prediction equals the exact
-limit for every mixed {W, X} monomial of length 2..8 and {W1, W2, X1, X2}
-monomial of length 2..6, X = T, H, R or S; more copies or longer
-monomials are not checked.
+nothing.  Tier-1 tests check that the exact prediction equals the exact
+limit for every mixed {W, X} monomial of length 2..8 and 10 and every
+{W1, W2, X1, X2} monomial of length 2..6, X = T, H, R or S; more copies
+and other lengths are not checked there.
 """
 
 from __future__ import annotations

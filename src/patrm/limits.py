@@ -74,31 +74,30 @@ _MC_CHUNK = 1 << 13
 # threads per sampled system, one per usable CPU; the estimate does not depend on it
 _MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Per-kind link relations.  At a second occurrence s matched to the first
-# occurrence f, each case label gives the integer coefficients
-# (prev, va, vb, shift) of v_s = prev v_{s-1} + va v_{f-1} + vb v_f + shift.
-# Toeplitz c: v_{s-1} - v_s = c (v_{f-1} - v_f).  Hankel: equal sums.
-# Reverse Circulant c: equal sums up to the wrap c.  Symmetric Circulant:
-# six sign/wrap combinations.  Wigner: straight (C1) or reversed (C2)
+# Per-kind link relations: one integer row (prev, va, vb, shift) per case,
+# the case label being the row's index.  At a second occurrence s matched
+# to the first occurrence f, a row is one branch of the link equation,
+# v_s = prev v_{s-1} + va v_{f-1} + vb v_f + shift (a wrap by n is a shift
+# of 1).  Toeplitz: v_{s-1} - v_s = +-(v_{f-1} - v_f).  Hankel: equal sums.
+# Reverse Circulant: equal sums up to the wraps 0, 1, -1.  Symmetric
+# Circulant: six sign/wrap combinations.  Wigner: straight or reversed
 # endpoint identification, which also pins v_{s-1} (see resolve_affine).
-# The labels and their order fix the case order, hence the dedup order
-# and the per-system MC seeds.
-_CASE_RELATIONS: dict[LinkKind, dict] = {
-    LinkKind.TOEPLITZ: {1: (1, -1, 1, 0), -1: (1, 1, -1, 0)},
-    LinkKind.HANKEL: {0: (-1, 1, 1, 0)},
-    LinkKind.REVERSE_CIRCULANT: {c: (-1, 1, 1, c) for c in (0, 1, -1)},
-    LinkKind.SYMMETRIC_CIRCULANT: {
-        1: (1, -1, 1, 0),
-        2: (1, 1, -1, 0),
-        3: (1, 1, -1, -1),
-        4: (1, -1, 1, 1),
-        5: (1, -1, 1, -1),
-        6: (1, 1, -1, 1),
-    },
-    LinkKind.WIGNER: {"C1": (0, 0, 1, 0), "C2": (0, 1, 0, 0)},
+# The row order fixes the case order, hence the dedup order and the
+# per-system MC seeds.
+_CASE_RELATIONS: dict[LinkKind, tuple[tuple[int, int, int, int], ...]] = {
+    LinkKind.TOEPLITZ: ((1, -1, 1, 0), (1, 1, -1, 0)),
+    LinkKind.HANKEL: ((-1, 1, 1, 0),),
+    LinkKind.REVERSE_CIRCULANT: tuple((-1, 1, 1, c) for c in (0, 1, -1)),
+    LinkKind.SYMMETRIC_CIRCULANT: (
+        (1, -1, 1, 0),
+        (1, 1, -1, 0),
+        (1, 1, -1, -1),
+        (1, -1, 1, 1),
+        (1, -1, 1, -1),
+        (1, 1, -1, 1),
+    ),
+    LinkKind.WIGNER: ((0, 0, 1, 0), (0, 1, 0, 0)),
 }
-
-CaseLabel = tuple
 
 
 class BudgetExceededError(RuntimeError):
@@ -136,25 +135,21 @@ def _bare_coordinate(row: tuple[int, ...]) -> Optional[int]:
 class ConstraintSystem:
     """One case's affine description of all circuit vertices.
 
-    gen_positions lists the generating vertices (position 0 plus first
-    occurrences).  dep_forms gives, for every other position, a pair
-    (position, row): the row (c_0, ..., c_{dim-1}, b) of ints is the
-    vertex's affine form c . v + b over the generating coordinates.  The
-    last pair is the final vertex, which closes the circuit on vertex 0.
-    The Wigner identifications hold by construction: resolve_affine
-    keeps no case whose identification fails.
+    dim counts the generating vertices: position 0 and the first
+    occurrences.  rows holds, for every other position in order, the row
+    (c_0, ..., c_{dim-1}, b) of ints standing for that vertex's affine
+    form c . v + b over the generating coordinates.  The last row is the
+    final vertex, which closes the circuit on vertex 0.  The Wigner
+    identifications hold by construction: resolve_affine keeps no case
+    whose identification fails.
     """
 
-    gen_positions: tuple[int, ...]
-    dep_forms: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.gen_positions)
+    dim: int
+    rows: tuple[tuple[int, ...], ...]
 
     def identity_ok(self) -> bool:
         """True when the final vertex's form is exactly v0, i.e. the circuit closes identically."""
-        return _bare_coordinate(self.dep_forms[-1][1]) == 0
+        return _bare_coordinate(self.rows[-1]) == 0
 
     def inequality_forms(self) -> list[tuple[int, ...]]:
         """Dependent forms that need a unit-interval check under sampling.
@@ -163,10 +158,10 @@ class ConstraintSystem:
         skipped; the final vertex is pinned to v0 by the closure identity.
         Each distinct form is listed once, in first-occurrence order.
         """
-        return list(dict.fromkeys(f for _, f in self.dep_forms[:-1] if _bare_coordinate(f) is None))
+        return list(dict.fromkeys(f for f in self.rows[:-1] if _bare_coordinate(f) is None))
 
     def canonical_key(self):
-        return (self.gen_positions, self.dep_forms)
+        return (self.dim, self.rows)
 
 
 class VolumeEstimate(NamedTuple):
@@ -185,19 +180,19 @@ def _sum_estimates(estimates, total: float | Fraction = 0.0) -> VolumeEstimate:
     return VolumeEstimate(total, math.sqrt(var))
 
 
-def _match_relations(w: ColoredWord) -> list[dict]:
+def _match_relations(w: ColoredWord) -> list[tuple]:
     """Relation table of every match, in match_pairs order."""
     return [_CASE_RELATIONS[w.colors[f - 1]] for f, _ in match_pairs(w)]
 
 
 def case_count(w: ColoredWord) -> int:
-    """Number of case labels of the word: the product of per-match relation counts."""
+    """Number of cases of the word: the product of per-match relation counts."""
     return math.prod(len(rel) for rel in _match_relations(w))
 
 
-def build_cases(w: ColoredWord) -> list[CaseLabel]:
-    """Cartesian product of per-match case labels, in match_pairs order."""
-    return list(itertools.product(*_match_relations(w)))
+def build_cases(w: ColoredWord) -> list[tuple[int, ...]]:
+    """Cartesian product of per-match case labels (relation row indices), in match_pairs order."""
+    return list(itertools.product(*(range(len(rel)) for rel in _match_relations(w))))
 
 
 def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
@@ -208,7 +203,7 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     prefix's forms are computed once for all the cases that share it.  A
     first occurrence is a generating coordinate.  At a second occurrence
     s matched to first occurrence f, v_s is determined from v_{s-1},
-    v_{f-1}, v_f by the label's relation.  A Wigner label also pins
+    v_{f-1}, v_f by the label's relation row.  A Wigner label also pins
     v_{s-1}: the unordered edges {v_{s-1}, v_s} and {v_{f-1}, v_f}
     coincide, so v_{s-1} = v_{f-1} + v_f - v_s.  Both sides of that
     equality are final once formed, so a prefix whose two sides differ
@@ -219,12 +214,12 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     """
     pairs = match_pairs(w)
     relations = _match_relations(w)
-    gen_positions = tuple([0] + [f for f, _ in pairs])
-    coords = {pos: _coordinate(slot, len(gen_positions)) for slot, pos in enumerate(gen_positions)}
+    dim = len(pairs) + 1
+    coords = {pos: _coordinate(slot, dim) for slot, pos in enumerate([0] + [f for f, _ in pairs])}
     # (second occurrence, first occurrence, match index) in position order
     steps = sorted((s, f, idx) for idx, (f, s) in enumerate(pairs))
-    # (labels in step order, forms by position, dependent forms)
-    prefixes = [((), (coords[0],), ())]
+    # (labels in step order, forms by position)
+    prefixes = [((), (coords[0],))]
     resolved = 1  # positions with a form in every prefix
     for s, f, idx in steps:
         # the first occurrences since the last step, the same for every prefix
@@ -232,20 +227,20 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
         resolved = s + 1
         wigner = w.colors[s - 1] is LinkKind.WIGNER
         grown = []
-        for labels, forms, dep in prefixes:
+        for labels, forms in prefixes:
             forms += gap
             prev, va, vb = forms[s - 1], forms[f - 1], forms[f]
-            for label, (*weights, shift) in relations[idx].items():
+            for label, (*weights, shift) in enumerate(relations[idx]):
                 form = _combine(weights, (prev, va, vb), shift)
                 if wigner and _combine((1, 1, -1), (va, vb, form), 0) != prev:
                     continue
-                grown.append((labels + (label,), forms + (form,), dep + ((s, form),)))
+                grown.append((labels + (label,), forms + (form,)))
         prefixes = grown
     # step slot of each match, to key the survivors by their labels in match order
     slot_of = sorted(range(len(steps)), key=lambda slot: steps[slot][2])
     systems = {
-        tuple([labels[slot] for slot in slot_of]): ConstraintSystem(gen_positions, dep)
-        for labels, _, dep in prefixes
+        tuple([labels[slot] for slot in slot_of]): ConstraintSystem(dim, tuple([forms[s] for s, _, _ in steps]))
+        for labels, forms in prefixes
     }
     return [systems[case] for case in build_cases(w) if case in systems]
 

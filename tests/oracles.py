@@ -227,8 +227,9 @@ def resolve_case_reference(word_text: str, colors_text: str, case: tuple):
 
     Returns (gen_positions, dep_forms, equalities) with each form a plain
     (coeffs, const) tuple.  The only package input is the relation table
-    _CASE_RELATIONS, the specification of the case labels: at a second
-    occurrence s of the match (f, s), label c gives
+    _CASE_RELATIONS, whose rows test_limits checks against the link
+    functions themselves: at a second occurrence s of the match (f, s),
+    label c names the row (prev, va, vb, shift) of index c, which gives
     v_s = prev v_{s-1} + va v_{f-1} + vb v_f + shift, and a Wigner match
     also identifies v_{s-1} with v_{f-1} + v_f - v_s.
     """

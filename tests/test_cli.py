@@ -569,6 +569,21 @@ def test_pcw_exact_reports_the_rational(capsys):
     assert payload["method"] == "exact"
 
 
+@pytest.mark.parametrize("text", ["abacdcdb", "ababcdcd"])
+def test_pcw_charges_the_dihedral_class_of_its_word(capsys, monkeypatch, text):
+    # one T^8 class: its least member ababcdcd takes 40 integration branches,
+    # abacdcdb on its own 129; pcw integrates the class, as tables and alpha do
+    monkeypatch.setattr(limits, "_P_CACHE", {})
+    code, out, err = run(capsys, "pcw", "--q", "TTTTTTTT", "--word", text, "--budget", "40")
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert (payload["word"], payload["exact"], payload["cases"]) == (text, "9/20", 16)
+    monkeypatch.setattr(limits, "_P_CACHE", {})
+    code, out, err = run(capsys, "pcw", "--q", "TTTTTTTT", "--word", text, "--budget", "39")
+    assert code == EXIT_BUDGET
+    assert out == "" and "exact integration needs more than 39 branches" in err
+
+
 @pytest.mark.parametrize("a,b", [("T", "H"), ("R", "S"), ("W", "S")])
 def test_lsd_golden_bytes(capsys, a, b):
     # stdout is the histogram CSV; the .err file is the stderr report up to its version field

@@ -51,7 +51,7 @@ from patrm.limits import (
     pair_matched_words,
     resolve_affine,
 )
-from patrm.linkfns import ALL_KINDS, DELTA, LinkKind, solve_branch_grid
+from patrm.linkfns import ALL_KINDS, DELTA, LinkKind, lvalue_key_grid, solve_branch_grid
 from patrm.reference_tables import ALL_ROWS
 from patrm.sampler import seed_sequence
 
@@ -69,8 +69,24 @@ def test_build_cases_counts():
     assert len(build_cases(word("abab", "WSWS"))) == 12
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.char)
+def test_case_relation_rows_are_the_link_equations(kind):
+    # (p, x) and (a, b) share a storage key exactly when some relation row of
+    # the kind gives x from p, a and b, a wrap by n being a shift of 1; a
+    # Wigner row also pins p = a + b - x, as resolve_affine does
+    rows = limits._CASE_RELATIONS[kind]
+    for n in range(1, 9):
+        keys = lvalue_key_grid(kind, n)[1].tolist()
+        for p, a, b, x in itertools.product(range(n), repeat=4):
+            solved = any(
+                x == prev * p + va * a + vb * b + shift * n and (kind is not LinkKind.WIGNER or p == a + b - x)
+                for prev, va, vb, shift in rows
+            )
+            assert (keys[p][x] == keys[a][b]) == solved, (n, p, a, b, x)
+
+
 def test_resolve_single_pair_full_volume():
-    # W keeps only its straight identification (C2 fails at the match);
+    # W keeps only its reversed identification (the straight row fails at the match);
     # T, H, R and S keep every case, closure failures included
     for kind, systems in zip("WTHRS", (1, 2, 1, 3, 6)):
         w = word("aa", kind * 2)
@@ -82,22 +98,28 @@ def test_resolve_single_pair_full_volume():
 
 def test_resolve_structure_invariants():
     w = word("aabccb", "TTHTTH")
+    pairs = match_pairs(w)
+    # the generating coordinates are position 0 and the first occurrences, the
+    # rows those of the second occurrences, each in position order
+    gen_positions = [0] + [f for f, _ in pairs]
+    dep_positions = sorted(s for _, s in pairs)
+    assert gen_positions == sorted(gen_positions)
     for cs in resolve_affine(w):
-        assert cs.gen_positions[0] == 0
-        assert len(cs.gen_positions) == len(w) // 2 + 1
-        slots = {pos: i for i, pos in enumerate(cs.gen_positions)}
-        for pos, form in cs.dep_forms:
+        assert cs.dim == len(w) // 2 + 1 == len(gen_positions)
+        assert len(cs.rows) == len(dep_positions)
+        for pos, form in zip(dep_positions, cs.rows):
             # dependent forms reference only strictly earlier generating coords
             for slot_idx, coeff in enumerate(form[:-1]):
                 if coeff != 0:
-                    assert cs.gen_positions[slot_idx] < pos
+                    assert gen_positions[slot_idx] < pos
 
 
 def test_toeplitz_quadruple_survivors_match_exact_count():
     # only case combinations whose closure holds identically contribute
     w = word("abab", "TTTT")
     alive = [(c, cs) for c, cs in zip(build_cases(w), resolve_affine(w)) if cs.identity_ok()]
-    assert [c for c, _ in alive] == [(-1, -1)]
+    # the second relation row of T at both matches: v_s - v_{s-1} = v_{f-1} - v_f
+    assert [c for c, _ in alive] == [(1, 1)]
     total = sum(case_volume_mc(cs, 300000, seed=1).value for _, cs in alive)
     est = p_limit(w, "exact")
     assert total == pytest.approx(est.value, abs=0.02)
@@ -118,7 +140,7 @@ def test_wigner_crossing_case_contributes_zero():
 
 def test_case_volume_full_cube_and_dead_closure():
     w = word("aa", "TT")
-    assert build_cases(w) == [(1,), (-1,)]
+    assert build_cases(w) == [(0,), (1,)]
     cs_dead, cs_ok = resolve_affine(w)
     assert case_volume_mc(cs_ok, 10, seed=0).value == 1.0
     est = case_volume_mc(cs_dead, 10, seed=0)
@@ -140,7 +162,7 @@ def _survivors(word_text, mono):
 
 
 def _repeats_a_form(cs):
-    forms = [f for _, f in cs.dep_forms[:-1] if _bare_coordinate(f) is None]
+    forms = [f for f in cs.rows[:-1] if _bare_coordinate(f) is None]
     return len(set(forms)) < len(forms)
 
 
@@ -149,11 +171,11 @@ _C = 1 << 15
 # systems of dims 1-5, among them every short-circuit of the kernel
 KERNEL_SYSTEMS = {
     # 2 v1 in [0, 1): volume 1/2
-    "dim1": ConstraintSystem((0,), ((1, (2, 0)), (2, (1, 0)))),
+    "dim1": ConstraintSystem(1, ((2, 0), (1, 0))),
     "no-form": resolve_affine(word("aa", "TT"))[1],
     "dead": resolve_affine(word("aa", "TT"))[0],
     # v0 + v1 + 2 lies in [2, 4): provably outside [0, 1)
-    "empty-box": ConstraintSystem((0, 1), ((2, (1, 1, 2)), (3, (1, 0, 0)))),
+    "empty-box": ConstraintSystem(2, ((1, 1, 2), (1, 0, 0))),
     "dim3": _survivors("abab", "THTH")[0],
     "dim4-repeated-form": next(cs for cs in _survivors("abaccb", "TTTTTT") if _repeats_a_form(cs)),
     "dim5-repeated-form": next(cs for cs in _survivors("aabcbddc", "TTTTTTTT") if _repeats_a_form(cs)),
@@ -217,10 +239,8 @@ def test_case_volume_mc_more_threads_than_cores(monkeypatch):
 # the two systems of KERNEL_SYSTEMS whose forms read 3 of their coordinates,
 # written by hand without the others
 _READ_COORDINATES_ONLY = {
-    "dim4-repeated-form": ConstraintSystem((0, 1, 2), ((3, (1, -1, 1, 0)), (5, (1, -1, 1, 0)), (6, (1, 0, 0, 0)))),
-    "dim5-repeated-form": ConstraintSystem(
-        (0, 3, 4), ((2, (1, 0, 0, 0)), (5, (1, -1, 1, 0)), (7, (1, -1, 1, 0)), (8, (1, 0, 0, 0)))
-    ),
+    "dim4-repeated-form": ConstraintSystem(3, ((1, -1, 1, 0), (1, -1, 1, 0), (1, 0, 0, 0))),
+    "dim5-repeated-form": ConstraintSystem(3, ((1, 0, 0, 0), (1, -1, 1, 0), (1, -1, 1, 0), (1, 0, 0, 0))),
 }
 
 
@@ -275,7 +295,7 @@ def test_surviving_systems_list_each_form_once():
                     survivors += 1
                     forms = cs.inequality_forms()
                     assert len(set(forms)) == len(forms), (w.text, kind)
-                    assert set(forms) == {f for _, f in cs.dep_forms[:-1] if _bare_coordinate(f) is None}
+                    assert set(forms) == {f for f in cs.rows[:-1] if _bare_coordinate(f) is None}
     assert survivors == 2794
 
 
@@ -856,15 +876,15 @@ def test_resolve_affine_equals_reference_walk():
     kept = omitted = closure_failures = 0
     for word_text, colors in REFERENCE_WORDS:
         w = word(word_text, colors)
-        got = [(cs.gen_positions, cs.dep_forms) for cs in resolve_affine(w)]
+        got = [(cs.dim, cs.rows) for cs in resolve_affine(w)]
         want = []
         for case in build_cases(w):
             ref = resolve_case_reference(word_text, colors, case)
             if all(a == b for a, b in ref[2]):
-                # the reference's (coeffs, const) pairs as rows (c_0, ..., c_{d-1}, b)
-                dep = tuple((pos, (*coeffs, const)) for pos, (coeffs, const) in ref[1])
-                want.append((ref[0], dep))
-                closure_failures += _bare_coordinate(dep[-1][1]) != 0
+                # the reference's (coeffs, const) pairs as rows (c_0, ..., c_{d-1}, b), in position order
+                rows = tuple((*coeffs, const) for _, (coeffs, const) in ref[1])
+                want.append((len(ref[0]), rows))
+                closure_failures += _bare_coordinate(rows[-1]) != 0
             else:
                 omitted += 1
         assert got == want, (word_text, colors)
@@ -889,7 +909,7 @@ def test_affine_form_helpers():
 def test_resolved_forms_are_integer_rows():
     w = word("abab", "SSSS")
     for cs in resolve_affine(w):
-        for _, form in cs.dep_forms:
+        for form in cs.rows:
             assert len(form) == cs.dim + 1
             assert all(type(c) is int for c in form)
 
