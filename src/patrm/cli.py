@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     samples = _option(
         "--samples", type=_positive_int, default=limits.DEFAULT_MC_SAMPLES,
-        help="Monte Carlo samples per constraint system; --method exact does not use it",
+        help="Monte Carlo samples per distinct case polytope; --method exact does not use it",
     )
     dist = _option("--dist", default="gaussian", choices=[d.value for d in InputDistribution])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

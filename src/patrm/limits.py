@@ -22,18 +22,24 @@ of the run.  The Monte Carlo route returns 0 for a word in which a
 Wigner pair crosses another pair before it walks the cases: by
 asymptotic freeness such a word has volume 0 (the Wigner cut), and the
 walk keeps no closing case of any such word the tests check; the exact
-route still walks them.  The Monte Carlo kernel draws only the u
-coordinates that some inequality form of a case reads, since every
-other coordinate is free in [0, 1) and integrates to 1.  It draws them
-in fixed-size chunks into reused buffers, split over threads that each
-jump to their own offset of the case's one PCG64 stream, so its memory
-does not grow with the sample count and its estimate is the same for
-any number of threads or any chunk size.  A chunk is 2^13 rows: a
-worker's buffers (points, form values, two masks) take 8 u + 10 bytes
-a row, 400 KiB at u = 5, within a core's L2 cache.  Larger chunks run
-no faster and raise an MC process's peak RSS (2^15 rows: by about 3 MB
-at two threads); at 2^12 rows numpy's per-call overhead starts to show
-in wall time.
+route still walks them.  Many systems, of one word or of many, are
+one case polytope: with the coordinates no form reads dropped (each
+is free in [0, 1) and integrates to 1) and each form f taken as the
+lesser of f and 1 - f, their sorted distinct rows agree.  The Monte
+Carlo route samples each such polytope once per sample count and seed
+per process, from a stream keyed by the polytope, and a word's volume
+and a monomial's limit are sums of those estimates weighted by
+multiplicity; on the freeness sweep over {W, R} and {W, T} up to
+length 8, 196 sampled systems are 12 polytopes.  The kernel draws the
+points in fixed-size chunks into reused buffers, split over threads
+that each jump to their own offset of the case's one PCG64 stream, so
+its memory does not grow with the sample count and its estimate is the
+same for any number of threads or any chunk size.  A chunk is 2^13
+rows: a worker's buffers (points, form values, two masks) take 8 u + 10
+bytes a row for a polytope over u coordinates, 400 KiB at u = 5, within
+a core's L2 cache.  Larger chunks run no faster and raise an MC
+process's peak RSS (2^15 rows: by about 3 MB at two threads); at 2^12
+rows numpy's per-call overhead starts to show in wall time.
 
 Every case relation has small integer coefficients, so all affine
 arithmetic is exact integer arithmetic; the identity-or-measure-zero
@@ -47,6 +53,7 @@ import itertools
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -82,8 +89,7 @@ _MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") e
 # Reverse Circulant: equal sums up to the wraps 0, 1, -1.  Symmetric
 # Circulant: six sign/wrap combinations.  Wigner: straight or reversed
 # endpoint identification, which also pins v_{s-1} (see resolve_affine).
-# The row order fixes the case order, hence the dedup order and the
-# per-system MC seeds.
+# The row order fixes the case order, hence the order of a word's systems.
 _CASE_RELATIONS: dict[LinkKind, tuple[tuple[int, int, int, int], ...]] = {
     LinkKind.TOEPLITZ: ((1, -1, 1, 0), (1, 1, -1, 0)),
     LinkKind.HANKEL: ((-1, 1, 1, 0),),
@@ -171,15 +177,6 @@ class VolumeEstimate(NamedTuple):
     stderr: float
 
 
-def _sum_estimates(estimates, total: float | Fraction = 0.0) -> VolumeEstimate:
-    """Sum of independent estimates, from total: values add, variances add."""
-    var = 0.0
-    for est in estimates:
-        total += est.value
-        var += est.stderr ** 2
-    return VolumeEstimate(total, math.sqrt(var))
-
-
 def _match_relations(w: ColoredWord) -> list[tuple]:
     """Relation table of every match, in match_pairs order."""
     return [_CASE_RELATIONS[w.colors[f - 1]] for f, _ in match_pairs(w)]
@@ -209,8 +206,7 @@ def resolve_affine(w: ColoredWord) -> list[ConstraintSystem]:
     equality are final once formed, so a prefix whose two sides differ
     is dropped there, with every case below it.  Closure is left to
     identity_ok, and no prefix is dropped for a form whose range misses
-    [0, 1), so the zero-volume systems keep their place in p_limit's
-    seed numbering.
+    [0, 1).
     """
     pairs = match_pairs(w)
     relations = _match_relations(w)
@@ -552,6 +548,60 @@ def _wigner_pair_crosses(w: ColoredWord) -> bool:
     )
 
 
+def _closing_systems(w: ColoredWord) -> list[ConstraintSystem]:
+    """The word's distinct systems that close identically, in build_cases order."""
+    return list({cs.canonical_key(): cs for cs in resolve_affine(w) if cs.identity_ok()}.values())
+
+
+def _polytope(cs: ConstraintSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(u, rows): a closing system's case polytope, as a key of equal-volume systems.
+
+    The inequality forms restricted to the u coordinates they read, in
+    order (a free coordinate integrates to 1), each replaced by the lesser
+    of f and 1 - f (0 <= f < 1 and 0 < f <= 1 differ on a null set), the
+    distinct rows sorted.
+    """
+    forms = cs.inequality_forms()
+    read = [i for i in range(cs.dim) if any(f[i] for f in forms)]
+    rows = {(*(f[i] for i in read), f[-1]) for f in forms}
+    return len(read), tuple(sorted({min(r, (*(-c for c in r[:-1]), 1 - r[-1])) for r in rows}))
+
+
+# (polytope, samples, seed) -> VolumeEstimate: each case polytope is sampled once per process
+_MC_VOLUMES: dict = {}
+# word -> its last _polytope_counts, which alpha_estimate reads back after p_limit_cached
+_POLYTOPE_COUNTS: dict = {}
+
+
+def _polytope_counts(w: ColoredWord) -> Counter:
+    """Multiplicity of each _polytope among the word's closing systems; none past a crossing Wigner pair."""
+    walk = w.is_color_consistent() and not _wigner_pair_crosses(w)
+    counts = _POLYTOPE_COUNTS[w] = Counter(_polytope(cs) for cs in (_closing_systems(w) if walk else ()))
+    return counts
+
+
+def _polytope_volume_mc(key, samples: int, seed: int) -> VolumeEstimate:
+    """case_volume_mc of one polytope, drawn from the stream of (seed, key), memoized per process."""
+    est = _MC_VOLUMES.get((key, samples, seed))
+    if est is None:
+        u, rows = key
+        est = VolumeEstimate(1.0, 0.0)
+        if rows:
+            from .sampler import seed_sequence
+
+            # the key as non-negative ints: u, the row count, then each entry c as 2c or -2c - 1
+            code = (u, len(rows), *(2 * c if c >= 0 else -2 * c - 1 for row in rows for c in row))
+            est = case_volume_mc(ConstraintSystem(u, (*rows, _coordinate(0, u))), samples, seed_sequence(seed, *code))
+        _MC_VOLUMES[key, samples, seed] = est
+    return est
+
+
+def _mc_sum(counts: dict, samples: int, seed: int) -> VolumeEstimate:
+    """Sum of m * v over the counted polytopes, stderr sqrt(sum (m * sigma)^2): a repeat shares its error."""
+    ests = [(m, *_polytope_volume_mc(key, samples, seed)) for key, m in counts.items()]
+    return VolumeEstimate(sum((m * v for m, v, _ in ests), 0.0), math.sqrt(sum((m * s) ** 2 for m, _, s in ests)))
+
+
 def _check_request(method: str, samples: int) -> float | Fraction:
     """Check a request; return its method's zero, Fraction(0) for "exact", 0.0 for "mc"."""
     if method not in METHODS:
@@ -571,13 +621,16 @@ def p_limit(
 ) -> VolumeEstimate:
     """Limiting normalized circuit count of a pair-matched word.
 
-    Zero when no deduplicated constraint system survives.  "mc": sum of
-    Monte-Carlo volumes of the surviving systems, system idx drawn from
-    sampler.seed_sequence(seed, len(w), *letters, *kind codes, idx): the
-    key names the word without its copy indices, so a volume does not
-    depend on which monomial or enumeration order reached it.  A word in
-    which a Wigner pair crosses another pair is 0 there before its cases
-    are walked (the Wigner cut: the walk would keep no closing case).
+    Zero when no deduplicated constraint system survives.  "mc": the
+    sum of m * v over the distinct case polytopes (_polytope) of the
+    surviving systems, m systems having the polytope of Monte Carlo
+    volume v, with stderr sqrt(sum (m * sigma)^2), since the m systems
+    share one estimate.  A polytope is sampled once per (samples, seed)
+    per process, from sampler.seed_sequence(seed, *polytope), so its
+    estimate does not depend on which word, monomial or command reached
+    it.  A word in which a Wigner pair crosses another pair is 0 there
+    before its cases are walked (the Wigner cut: the walk would keep no
+    closing case).
     "exact": sum of the systems' exact volumes (case_volume_exact), with
     the integration branches of all of them charged against one budget,
     returned as that Fraction, stderr 0; a zero is Fraction(0) too.
@@ -593,29 +646,13 @@ def p_limit(
     n_cases = case_count(w)
     if n_cases > budget:
         raise BudgetExceededError(f"word has {n_cases} affine cases, budget is {budget:.2e}")
-    if method == "mc" and _wigner_pair_crosses(w):
-        return VolumeEstimate(zero, 0.0)
-    systems = []
-    seen = set()
-    for cs in resolve_affine(w):
-        if not cs.identity_ok():
-            continue
-        key = cs.canonical_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        systems.append(cs)
+    if method == "mc":
+        return _mc_sum(_polytope_counts(w), samples, seed)
+    systems = _closing_systems(w)
     if not systems:
         return VolumeEstimate(zero, 0.0)
-    if method == "exact":
-        branches = BranchBudget(budget)
-        return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), zero), 0.0)
-
-    from .sampler import _KIND_CODE, seed_sequence
-
-    # the length prefix keeps two words' keys apart, whether the seed takes one 32-bit word or two
-    key = (len(w), *w.letters, *(_KIND_CODE[c] for c in w.colors))
-    return _sum_estimates(case_volume_mc(cs, samples, seed_sequence(seed, *key, idx)) for idx, cs in enumerate(systems))
+    branches = BranchBudget(budget)
+    return VolumeEstimate(sum((case_volume_exact(cs, branches) for cs in systems), zero), 0.0)
 
 
 def alpha_bound(q: Monomial) -> float:
@@ -690,17 +727,24 @@ def alpha_estimate(
 ) -> VolumeEstimate:
     """(value, stderr) of the limiting expected normalized trace moment.
 
-    The sum of its pair-matched words' volumes through p_limit_cached: "mc"
-    estimates every word; "exact" integrates each dihedral class's least
-    member once per process, under its own budget, and returns a Fraction,
-    stderr 0.
+    The sum of its pair-matched words' volumes through p_limit_cached.
+    "mc" sums the words' polytope estimates, and its stderr is
+    sqrt(sum (M * sigma)^2) with M a polytope's multiplicity over all the
+    words: words that share a polytope share its error, so their
+    variances do not add as if independent.  "exact" integrates each
+    dihedral class's least member once per process, under its own
+    budget, and returns a Fraction, stderr 0.
     """
     zero = _check_request(method, samples)
-    words = pair_matched_words(q, budget)
-    return _sum_estimates(
-        (p_limit_cached(drop_indices(w), method, samples=samples, seed=seed, budget=budget) for w in words),
-        zero,
-    )
+    words = [drop_indices(w) for w in pair_matched_words(q, budget)]
+    value = sum((p_limit_cached(w, method, samples=samples, seed=seed, budget=budget).value for w in words), zero)
+    if method == "exact" or not words:
+        return VolumeEstimate(value, 0.0)
+    merged = Counter()
+    for w in words:
+        counts = _POLYTOPE_COUNTS.get(w)
+        merged.update(_polytope_counts(w) if counts is None else counts)
+    return VolumeEstimate(value, _mc_sum(merged, samples, seed).stderr)
 
 
 def alpha(

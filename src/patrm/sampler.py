@@ -49,7 +49,8 @@ def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
     """SeedSequence of the master seed taken mod 2^64, followed by key.
 
     The package's one seed derivation: simulations key it by (replicate,
-    kind, copy), Monte Carlo volumes by (word, system).  The key goes in as
+    kind, copy), Monte Carlo volumes by their case polytope, written as
+    non-negative ints (see limits._polytope_volume_mc).  The key goes in as
     one uint32 array, the same entropy words as the plain list
     [seed, *key] at a quarter of the cost, since numpy coerces a list
     entry by entry.

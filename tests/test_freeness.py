@@ -128,6 +128,28 @@ def test_prediction_with_non_wigner_guide_detects_dependence():
     assert abs(a - pred) == pytest.approx(2 / 3, abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "text,gap",
+    [
+        ("THTH", Fraction(2, 3)),
+        ("TSTS", Fraction(2, 3)),
+        ("TRTR", Fraction(2, 3)),
+        ("HSHS", Fraction(2, 3)),
+        ("T1T2T1T2", Fraction(2, 3)),
+        ("S1S2S1S2", Fraction(1)),
+        ("R1R2R1R2", Fraction(0)),
+        ("H1H2H1H2", Fraction(0)),
+    ],
+)
+def test_free_prediction_gap_of_non_wigner_guides_is_exact(text, gap):
+    # the paper's non-freeness, without Monte Carlo: the exact limit minus the
+    # exact free prediction with the first letter's kind as the guide; only
+    # the R and H copies close the gap at this length
+    q = parse_monomial(text)
+    prediction = free_moment_prediction(q, guide_kind=q.letters[0][0], method="exact")
+    assert alpha(q, "exact") - prediction == gap
+
+
 def test_freeness_report_examples():
     r = freeness_report(parse_monomial("WTWT"))
     assert r.alpha == r.free_prediction == Fraction(0)
@@ -295,9 +317,9 @@ def test_concentration_slope():
 def test_sweep_values_golden_bytes():
     # alpha and the free prediction, to 17 significant digits, of every
     # {W,R} and {W,T} monomial of length 2..6 that holds both kinds, as the
-    # freeness sweep computes them.  Each system draws from its word's
-    # seed_sequence stream, numbered by its place among the surviving
-    # systems, so the file pins their order as well as the streams.
+    # freeness sweep computes them.  Each distinct case polytope draws once
+    # from the seed_sequence stream of its key, so the file pins the keys
+    # and their multiplicities as well as the streams.
     rows = ["monomial,alpha,prediction"]
     for other in (LinkKind.REVERSE_CIRCULANT, T):
         for length in range(2, 7):

@@ -24,6 +24,7 @@ from patrm.algebra import (
     Monomial,
     count_pairings,
     dihedral_key,
+    drop_indices,
     enumerate_pair_matched_words,
     is_catalan,
     match_pairs,
@@ -740,21 +741,64 @@ def test_nonpositive_samples_rejected(call):
         call()
 
 
-# alpha_estimate(q, samples=20000, seed=1), each system drawn from its
-# word's seed_sequence stream; equal tuples mean the case order, the
-# dedup order and the per-system seeds are unchanged
+# alpha_estimate(q, samples=20000, seed=1), each case polytope drawn once
+# from its own seed_sequence stream; equal tuples mean the polytope keys,
+# their multiplicities and their streams are unchanged
 GOLDEN_ALPHA_ESTIMATES = {
-    "SSSSSS": (14.997550000000002, 0.01705703372145931),
-    "RRRRRR": (6.00195, 0.005941935406498458),
+    "SSSSSS": (15.011400000000002, 0.032273207273991224),
+    "RRRRRR": (5.9967500000000005, 0.005946927368397903),
     "WRWRWR": (0.0, 0.0),
     "THTHTH": (0.0, 0.0),
-    "THTHHH": (1.3402500000000002, 0.004701571213434929),
+    "THTHHH": (1.3395, 0.006651089196515109),
 }
 
 
 @pytest.mark.parametrize("mono", sorted(GOLDEN_ALPHA_ESTIMATES))
 def test_alpha_estimate_golden_values(mono):
     assert tuple(alpha_estimate(parse_monomial(mono), samples=20000, seed=1)) == GOLDEN_ALPHA_ESTIMATES[mono]
+
+
+def test_equal_polytope_keys_have_equal_exact_volumes():
+    # every closing system with forms of every colour-consistent one-copy word
+    # of length <= 6 over the five kinds: the Monte Carlo route samples one
+    # polytope for all the systems of a key, so their volumes must agree
+    words = [word(text, colors) for length in (2, 4, 6) for text, colors in _color_consistent_words(length)]
+    systems = [cs for w in words for cs in limits._closing_systems(w) if cs.inequality_forms()]
+    volumes = {}
+    for cs in systems:
+        volume = case_volume_exact(cs, BranchBudget(DEFAULT_BUDGET))
+        assert volumes.setdefault(limits._polytope(cs), volume) == volume, cs
+    assert (len(words), len(systems), len(volumes)) == (1955, 1838, 197)
+
+
+def test_monte_carlo_stderr_counts_shared_polytopes():
+    # SSSSSS's 15 words share polytopes, so their errors do not add as if
+    # independent: over 200 seeds z^2 against the exact 15 averages near 1
+    # with the shared stderr, and far above it with the independent sum
+    q = parse_monomial("SSSSSS")
+    words = [drop_indices(w) for w in pair_matched_words(q, DEFAULT_BUDGET)]
+    shared, independent = [], []
+    for seed in range(200):
+        est = alpha_estimate(q, "mc", samples=2000, seed=seed)
+        ind = math.sqrt(sum(p_limit_cached(w, "mc", samples=2000, seed=seed).stderr ** 2 for w in words))
+        shared.append(((est.value - 15) / est.stderr) ** 2)
+        independent.append(((est.value - 15) / ind) ** 2)
+    assert 0.6 <= sum(shared) / 200 <= 1.6
+    assert sum(independent) / 200 > 3
+
+
+def test_repeated_polytope_reports_m_sigma():
+    # a polytope counted m times adds m v with error m sigma; THTHHH's words
+    # ababcc and abaccb are one sampled polytope, and its third word reads 0
+    key = limits._polytope(limits._closing_systems(word("abab", "THTH"))[0])
+    v, sigma = limits._polytope_volume_mc(key, 2000, 4)
+    assert sigma > 0
+    assert limits._mc_sum({key: 3}, 2000, 4) == (3 * v, 3 * sigma)
+    est = alpha_estimate(parse_monomial("THTHHH"), "mc", samples=2000, seed=4)
+    (shared,) = limits._POLYTOPE_COUNTS[word("ababcc", "THTHHH")]
+    assert limits._POLYTOPE_COUNTS[word("abaccb", "THTHHH")] == {shared: 1}
+    v, sigma = limits._polytope_volume_mc(shared, 2000, 4)
+    assert est == (2 * v, 2 * sigma)
 
 
 def _color_consistent_words(length, kinds_text="WTHRS"):
